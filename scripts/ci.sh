@@ -3,9 +3,10 @@
 # with AddressSanitizer + UndefinedBehaviorSanitizer (the durability layer
 # does enough raw file and lifetime juggling that the sanitizers earn
 # their keep), and a ThreadSanitizer pass over the concurrent subsystems
-# (device-parallel dispatch, HA recovery).  Then a Release -O2 bench smoke:
-# every JSON-emitting bench must run at a small scale and produce its
-# BENCH_<name>.json.
+# (the controller's anti-entropy thread, HA recovery).  Then a Release -O2
+# bench smoke: every JSON-emitting bench must run at a small scale and
+# produce its BENCH_<name>.json.  Last, the full-stack benchmark's traced
+# runs check every workload's outputs.
 #   scripts/ci.sh [jobs]
 set -eu
 JOBS="${1:-$(nproc)}"
@@ -40,13 +41,14 @@ run_suite build-ci-asan \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 
 # TSan is incompatible with ASan, so it gets its own build; restrict the run
-# to the suites that actually exercise threads (controller dispatch pool,
-# OVSDB TCP service thread, HTTP gateway event loop + workers, HA restart
-# and hot-standby failover, chaos fault storms — including the seeded
-# failover soak in test_chaos — snvs integration end to end, and the dlog
-# differential suite whose parallel-bootstrap case forces a 4-thread
-# semi-naive fan-out regardless of core count) to keep the wall clock
-# sane.
+# to the suites that actually exercise threads (controller anti-entropy
+# thread and the single-thread dispatch claim of test_controller's
+# recording clients, OVSDB TCP service thread, HTTP gateway event loop +
+# workers, HA restart and hot-standby failover, chaos fault storms —
+# including the seeded failover soak in test_chaos — snvs integration end
+# to end, and the dlog differential suite whose parallel-bootstrap case
+# forces a 4-thread semi-naive fan-out regardless of core count) to keep
+# the wall clock sane.
 echo "=== configure build-ci-tsan ==="
 cmake -B build-ci-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -159,5 +161,16 @@ build-ci-bench/bench/bench_overload --scale=0.3 \
   --out=build-ci-bench/bench-out >/dev/null
 test -s build-ci-bench/bench-out/BENCH_overload.json || {
   echo "bench_overload produced no BENCH_overload.json" >&2; exit 1; }
+
+# Full-stack benchmark correctness gates (perfbench/, a Release build of
+# its own).  A traced run checks every change's device writes against a
+# shadow engine, then rebuilds the stack from the final OVSDB rows (tables
+# and multicast groups byte-identical, resync write-free) and probes the
+# packet path; any failed check exits non-zero.  The timings are not
+# gated here.
+for w in port_churn bulk_reconfig packet_learn; do
+  echo "--- perfbench $w --trace 1 (correctness gate) ---"
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 1
+done
 
 echo "CI: all suites passed"

@@ -37,6 +37,12 @@ struct BackoffPolicy {
   double jitter_frac = 0.2;            // uniform in [1-j, 1+j] of nominal
 };
 
+/// A bounded retry loop's policy: total tries, and the delays between them.
+struct RetryPolicy {
+  int max_attempts = 1;
+  BackoffPolicy backoff;
+};
+
 /// The delay iterator for one retry loop.  Not thread-safe (each loop
 /// owns one); deterministic for a given (policy, seed).
 class Backoff {

@@ -1,8 +1,7 @@
 // A fixed-size worker pool for dispatching independent tasks.
 //
-// The controller uses this to push P4Runtime writes to distinct devices in
-// parallel: each device's ordered write batch becomes one task, so
-// per-device write order is preserved while devices proceed concurrently.
+// The dlog engine fans large cold-start join passes out on it, and the
+// northbound gateway runs admitted backend requests on it.
 // The pool is deliberately minimal — submit void() tasks, wait for the
 // queue to drain — because all result/error plumbing lives with the
 // callers, which capture their own output slots.

@@ -298,6 +298,10 @@ void Gateway::EventLoop() {
         stop_deadline_ns =
             MonotonicNanos() + int64_t{kDrainDeadlineMs} * 1000000;
         if (listen_fd_ >= 0) {
+          // A client whose handshake completed before Stop() sits in the
+          // accept backlog, possibly with its request already sent; take
+          // it in so the drain below answers it instead of resetting it.
+          AcceptClients();
           epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
           close(listen_fd_);
           listen_fd_ = -1;

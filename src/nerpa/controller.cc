@@ -298,9 +298,9 @@ Status Controller::Promote(uint64_t epoch) {
 
 void Controller::Demote() {
   // Atomic flip, no locks: this is called from inside the write path (a
-  // fenced-out worker while the monitor callback holds sync_mu_), so
-  // taking the plane lock here would deadlock.  In-flight batches see the
-  // flip at their next per-op check and abort.
+  // fenced-out write, on a commit that holds sync_mu_), so taking the
+  // plane lock here would deadlock.  The in-flight commit sees the flip at
+  // its next per-op check and aborts.
   Role expected = role_.load(std::memory_order_acquire);
   while (expected != Role::kFollower) {
     if (role_.compare_exchange_weak(expected, Role::kFollower,
@@ -356,59 +356,25 @@ Status Controller::ReloadEngineCheckpoint(const std::string& checkpoint) {
   return ProcessOvsdbUpdates(snapshot);
 }
 
-size_t Controller::DispatchWorkers(size_t jobs) const {
-  if (jobs <= 1) return 1;
-  size_t cap;
-  if (options_.write_parallelism <= 0) {
-    cap = std::thread::hardware_concurrency();
-    if (cap == 0) cap = 1;
-  } else {
-    cap = static_cast<size_t>(options_.write_parallelism);
-  }
-  return std::min(jobs, cap);
-}
-
-ThreadPool& Controller::Pool(size_t want) {
-  if (pool_ == nullptr || pool_->threads() < want) {
-    pool_ = std::make_unique<ThreadPool>(want);
-  }
-  return *pool_;
-}
-
 Status Controller::ResyncAllDevices() {
-  // With breakers enabled a device that cannot resynchronize is
-  // quarantined (anti-entropy will converge it later) instead of failing
-  // the whole round.
-  auto resync_one = [this](Device& device) -> Status {
+  // Faults on one device do not stop the others: the first error in
+  // registration order is reported.  A fenced write does stop the round —
+  // the remaining devices belong to the newer leader.  With breakers
+  // enabled a device that cannot resynchronize is quarantined
+  // (anti-entropy will converge it later) instead of failing the round.
+  Status first;
+  for (Device& device : devices_) {
     Status synced = ResyncDeviceImpl(device);
     if (!synced.ok() && options_.breaker.enabled &&
         synced.code() == StatusCode::kInternal) {
       std::lock_guard<std::mutex> lock(stats_mu_);
       QuarantineLocked(device);
-      return Status::Ok();
+      continue;
     }
-    return synced;
-  };
-  size_t workers = DispatchWorkers(devices_.size());
-  if (workers <= 1) {
-    for (Device& device : devices_) {
-      NERPA_RETURN_IF_ERROR(resync_one(device));
-    }
-    return Status::Ok();
+    if (first.ok()) first = synced;
+    if (synced.code() == StatusCode::kPermissionDenied) break;
   }
-  // Each device resynchronizes against the same (read-only) engine state;
-  // faults on one device do not stop the others.  First error in device
-  // registration order is reported.
-  std::vector<Status> results(devices_.size());
-  ThreadPool& pool = Pool(workers);
-  for (size_t i = 0; i < devices_.size(); ++i) {
-    Device* device = &devices_[i];
-    Status* slot = &results[i];
-    pool.Submit([&resync_one, device, slot] { *slot = resync_one(*device); });
-  }
-  pool.WaitIdle();
-  for (const Status& status : results) NERPA_RETURN_IF_ERROR(status);
-  return Status::Ok();
+  return first;
 }
 
 void Controller::OnOvsdbUpdate(const ovsdb::TableUpdates& updates) {
@@ -513,19 +479,14 @@ Status Controller::ProcessOvsdbUpdates(const ovsdb::TableUpdates& updates) {
 
 Status Controller::WriteWithRetry(Device& device,
                                   const std::function<Status()>& write) {
-  const RetryPolicy& retry = options_.retry;
   const int64_t timeout = options_.breaker.write_timeout_nanos;
-  int attempts = std::max(1, retry.max_attempts);
-  BackoffPolicy policy;
-  policy.initial_nanos = retry.initial_backoff_nanos;
-  policy.multiplier = retry.backoff_multiplier;
-  policy.max_nanos = retry.max_backoff_nanos;
+  int attempts = std::max(1, options_.retry.max_attempts);
   uint64_t seed;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     seed = ++breaker_rng_;
   }
-  Backoff backoff(policy, seed);
+  Backoff backoff(options_.retry.backoff, seed);
   Status status;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
@@ -665,17 +626,17 @@ Status Controller::AppendEntryOps(std::vector<DeviceBatch>& batches,
 }
 
 Status Controller::ExecuteBatch(DeviceBatch& batch, const Deadline& deadline) {
-  // Worker-thread body: only this thread touches the batch's device, so
-  // the device sees exactly the serial write order.  Stops at the device's
-  // first error; other devices' batches are unaffected.
+  // Stops at the device's first error; other devices' batches are
+  // unaffected.
   Device& device = *batch.device;
   for (size_t i = 0; i < batch.ops.size(); ++i) {
     if (deadline.expired()) {
-      // Commit budget spent (a slow or flapping device ate it): park the
-      // rest of the batch in the outbox and report success.  The commit
-      // stops monopolizing the dispatch path, no op is dropped — the next
-      // anti-entropy pass sees the non-empty outbox and reconciles the
-      // device, exactly like a sub-threshold write failure.
+      // Commit budget spent (a slow or flapping device, this one or one
+      // earlier in registration order, ate it): park the rest of the batch
+      // in the outbox and report success.  The commit stops monopolizing
+      // the dispatch path, no op is dropped — the next anti-entropy pass
+      // sees the non-empty outbox and reconciles the device, exactly like
+      // a sub-threshold write failure.
       size_t parked = batch.ops.size() - i;
       QuarantineOps(device, {batch.ops.begin() +
                                  static_cast<std::ptrdiff_t>(i),
@@ -755,34 +716,17 @@ Status Controller::ExecuteBatch(DeviceBatch& batch, const Deadline& deadline) {
 
 Status Controller::RunBatches(std::vector<DeviceBatch>& batches,
                               const Deadline& deadline) {
-  size_t busy = 0;
-  for (const DeviceBatch& batch : batches) {
-    if (!batch.ops.empty()) ++busy;
+  // Every RuntimeClient is in-process and a write costs about a
+  // microsecond, so handing batches to worker threads costs more than
+  // overlapping them saves on the small changes that dominate; every
+  // batch runs here.  A fenced write in one batch demotes the controller
+  // and the later batches abort at their first op.
+  Status first;
+  for (DeviceBatch& batch : batches) {
+    Status status = ExecuteBatch(batch, deadline);
+    if (first.ok()) first = status;
   }
-  if (busy == 0) return Status::Ok();
-  size_t workers = DispatchWorkers(busy);
-  if (workers <= 1) {
-    Status first;
-    for (DeviceBatch& batch : batches) {
-      if (batch.ops.empty()) continue;
-      Status status = ExecuteBatch(batch, deadline);
-      if (!status.ok() && first.ok()) first = status;
-    }
-    return first;
-  }
-  std::vector<Status> results(batches.size());
-  ThreadPool& pool = Pool(workers);
-  for (size_t i = 0; i < batches.size(); ++i) {
-    if (batches[i].ops.empty()) continue;
-    DeviceBatch* batch = &batches[i];
-    Status* slot = &results[i];
-    pool.Submit([this, batch, slot, deadline] {
-      *slot = ExecuteBatch(*batch, deadline);
-    });
-  }
-  pool.WaitIdle();
-  for (const Status& status : results) NERPA_RETURN_IF_ERROR(status);
-  return Status::Ok();
+  return first;
 }
 
 Status Controller::ApplyOutputDelta(const dlog::TxnDelta& delta) {
@@ -805,7 +749,7 @@ Status Controller::ApplyOutputDelta(const dlog::TxnDelta& delta) {
   // deletes first so that modify (retract+assert of the same match key)
   // never collides with the still-installed old entry, multicast
   // reprograms as the delta is walked, inserts last — then the batches
-  // run, concurrently across devices.  Conversion and routing errors thus
+  // run, one device after another.  Conversion and routing errors thus
   // surface before anything is written.
   std::vector<DeviceBatch> batches(devices_.size());
   for (size_t i = 0; i < devices_.size(); ++i) {
@@ -897,8 +841,8 @@ Status Controller::ApplyMulticastDelta(const dlog::SetDelta& delta,
 }
 
 Status Controller::ResyncDeviceImpl(Device& device) {
-  // May run on a pool worker (parallel startup resync), so every stats
-  // update goes through the mutex; engine/bindings access is read-only.
+  // stats() may be sampled from any thread, so every stats update goes
+  // through the mutex; engine/bindings access is read-only.
   auto bump = [this](uint64_t& counter) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++counter;

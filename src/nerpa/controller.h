@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,7 +29,6 @@
 #include "common/deadline.h"
 #include "common/retry.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/watchdog.h"
 #include "dlog/engine.h"
 #include "nerpa/bindings.h"
@@ -50,21 +50,9 @@ const char* RoleName(Role role);
 
 class Controller {
  public:
-  /// Bounded exponential backoff for data-plane writes.  With the default
-  /// max_attempts = 1 a failed write surfaces immediately (the pre-HA
-  /// behaviour); recovery deployments raise it so transient device faults
-  /// (see ha::FaultyRuntimeClient) are retried instead of aborting the
-  /// whole delta.
-  struct RetryPolicy {
-    int max_attempts = 1;                      // total tries per write
-    int64_t initial_backoff_nanos = 1000000;   // 1 ms before 2nd attempt
-    double backoff_multiplier = 2.0;
-    int64_t max_backoff_nanos = 100000000;     // 100 ms cap
-  };
-
   /// Per-device circuit breaker (closed → open → half-open).  Retry
   /// handles the transient blip; the breaker handles the device that
-  /// stays dead past the retry budget.  A write that exhausts RetryPolicy
+  /// stays dead past the retry budget.  A write that exhausts Options::retry
   /// — or succeeds slower than write_timeout_nanos — is a *strike*; at
   /// strike_threshold the breaker opens and the device is quarantined:
   /// its pending deltas coalesce into a per-device outbox (bounded: one
@@ -118,16 +106,11 @@ class Controller {
     /// ignored: Start() falls back to a cold start, never fails.
     std::string engine_checkpoint;
 
-    /// Worker threads for data-plane dispatch.  Writes to distinct devices
-    /// are independent, so each output delta is split into one ordered
-    /// batch per device and the batches run concurrently on a pool —
-    /// per-device write order is exactly the serial order, and a slow or
-    /// retrying device no longer stalls the others.  0 = auto (one worker
-    /// per registered device, capped at hardware concurrency); 1 = fully
-    /// serial dispatch.  Requires each device to have its own
-    /// RuntimeClient/Switch (the repo-wide convention).
-    int write_parallelism = 0;
-
+    /// Data-plane write retries.  With the default max_attempts = 1 a
+    /// failed write surfaces immediately (the pre-HA behaviour); recovery
+    /// deployments raise it so transient device faults (see
+    /// ha::FaultyRuntimeClient) are retried instead of aborting the whole
+    /// delta.
     RetryPolicy retry;
 
     BreakerPolicy breaker;
@@ -151,10 +134,12 @@ class Controller {
 
     /// Per-commit data-plane dispatch budget (0 = unbounded, the old
     /// behaviour).  Each management-plane delta mints one deadline when
-    /// its engine transaction commits; device batches check it at every
-    /// op boundary, and ops left when it expires are parked in the
-    /// per-device outbox for anti-entropy to drain — the commit stops
-    /// consuming the plane lock, but no op is dropped.
+    /// its engine transaction commits; the device batches, run one after
+    /// another, check it at every op boundary, and ops left when it
+    /// expires are parked in their device's outbox for anti-entropy to
+    /// drain — so a device that stalls past the budget parks the later
+    /// devices' ops too.  The commit stops consuming the plane lock, but
+    /// no op is dropped.
     int64_t commit_deadline_nanos = 0;
 
     /// Optional shared watchdog (not owned): the commit path beats
@@ -220,12 +205,12 @@ class Controller {
   /// current leader just raises the fencing token.
   Status Promote(uint64_t epoch);
 
-  /// Leader → follower, immediately and without blocking: in-flight device
-  /// batches observe the flip at their next per-op check and abort (the
-  /// existing atomic-rollback semantics — nothing partial is retried, and
-  /// nothing is parked for a device the next leader now owns).  Safe to
-  /// call from any thread, including from inside the write path — a
-  /// fenced-out write self-demotes through here.
+  /// Leader → follower, immediately and without blocking: the in-flight
+  /// commit observes the flip at its next per-op check and aborts its
+  /// remaining batches (nothing partial is retried, and nothing is parked
+  /// for a device the next leader now owns).  Safe to call from any
+  /// thread, including from inside the write path — a fenced-out write
+  /// self-demotes through here.
   void Demote();
 
   /// Follower hot-reload: replaces the engine with the leader's checkpoint
@@ -290,8 +275,8 @@ class Controller {
     uint64_t demotions = 0;                 // leader → follower transitions
     uint64_t fenced_writes_rejected = 0;    // writes refused for stale epoch
   };
-  /// Snapshot of the counters (thread-safe against concurrent dispatch
-  /// and the anti-entropy thread).
+  /// Snapshot of the counters (thread-safe against the commit path and
+  /// the anti-entropy thread).
   Stats stats() const;
 
   /// Next digest sequence number to be assigned (checkpoint this through
@@ -365,18 +350,16 @@ class Controller {
   Status AppendEntryOps(std::vector<DeviceBatch>& batches,
                         const std::string& device, p4::UpdateType type,
                         const p4::TableEntry& entry);
-  /// Runs each non-empty batch (per-device order preserved; distinct
-  /// devices concurrent when write_parallelism allows) under `deadline`.
-  /// Every batch runs to its own first error; returns the first error in
-  /// device registration order.
+  /// Runs the batches on the calling thread, in device registration
+  /// order, under one `deadline`.  Every batch runs to its own first
+  /// error; returns the first error in registration order.
   Status RunBatches(std::vector<DeviceBatch>& batches,
                     const Deadline& deadline);
-  /// Executes one device's ops in order (worker-thread body).  Ops left
-  /// when `deadline` expires are parked in the device outbox.
+  /// Executes one device's ops in order.  Ops left when `deadline`
+  /// expires are parked in the device outbox.
   Status ExecuteBatch(DeviceBatch& batch, const Deadline& deadline);
   /// One write attempt loop: runs `write` against `device` under the
-  /// retry policy, maintaining retry/failure counters and breaker strikes
-  /// (thread-safe).
+  /// retry policy, maintaining retry/failure counters and breaker strikes.
   Status WriteWithRetry(Device& device,
                         const std::function<Status()>& write);
   /// Records one breaker strike; opens the breaker at the threshold.
@@ -397,7 +380,8 @@ class Controller {
   /// success, reopen with escalated cooldown on failure).
   void ProbeDevice(Device& device);
   Status ResyncDeviceImpl(Device& device);
-  /// Reconciles every registered device, concurrently when allowed.
+  /// Reconciles every registered device on the calling thread, in
+  /// registration order.
   Status ResyncAllDevices();
   /// Stamps `epoch` on every device client.  Caller holds sync_mu_ (or is
   /// in single-threaded setup before Start()).
@@ -411,10 +395,6 @@ class Controller {
   /// failover (a new leader must never reissue a sequence number the old
   /// leader already assigned).  Caller holds sync_mu_.
   void RecoverDigestSeqLocked();
-  /// Worker count for `jobs` parallel device tasks under Options.
-  size_t DispatchWorkers(size_t jobs) const;
-  /// The dispatch pool, (re)sized to at least `want` workers.
-  ThreadPool& Pool(size_t want);
 
   ovsdb::Database* db_;
   std::shared_ptr<const dlog::Program> program_;
@@ -434,18 +414,17 @@ class Controller {
   bool reconcile_restored_ = false;
   int64_t digest_seq_ = 0;
   /// Replication role.  Atomic so the write path can observe a demotion
-  /// mid-batch without taking sync_mu_ (a fenced-out ExecuteBatch worker
-  /// self-demotes while the monitor callback holds the plane lock).
+  /// mid-batch without taking sync_mu_: Demote() runs from any thread,
+  /// and from inside a commit that already holds the plane lock.
   std::atomic<Role> role_{Role::kLeader};
   /// Current fencing token (lease epoch) stamped on device clients.
   std::atomic<uint64_t> fence_epoch_{0};
   // (device, group) -> member ports, for multicast reprogramming.
   std::map<std::pair<std::string, uint32_t>, std::vector<uint64_t>>
       multicast_members_;
-  std::unique_ptr<ThreadPool> pool_;  // lazily sized to the device count
-  /// Plane lock: serializes engine/bookkeeping access between the update
-  /// paths (monitor callback, digest drain) and anti-entropy (explicit or
-  /// background-thread).  Per-device dispatch below it stays concurrent.
+  /// Plane lock: serializes engine, bookkeeping and device access between
+  /// the update paths (monitor callback, digest drain) and anti-entropy
+  /// (explicit or background-thread).
   std::mutex sync_mu_;
   mutable std::mutex stats_mu_;  // guards stats_ + breaker state + last_error_
   Stats stats_;

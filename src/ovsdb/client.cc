@@ -61,6 +61,7 @@ Status OvsdbClient::Connect(const std::string& host, uint16_t port) {
 void OvsdbClient::CloseSocket() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
+  receive_fault_ = false;
   inbox_.clear();
   splitter_ = JsonStreamSplitter{};
 }
@@ -75,7 +76,12 @@ void OvsdbClient::InjectTransportFault() {
 }
 
 void OvsdbClient::InjectReceiveFault() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
+  if (fd_ < 0) return;
+  ::shutdown(fd_, SHUT_RD);
+  // Linux still hands out data that reached the socket before the read,
+  // so a fast response would race the shutdown; the flag fails the next
+  // read regardless.
+  receive_fault_ = true;
 }
 
 Json OvsdbClient::SpecToRequests(
@@ -195,6 +201,10 @@ Status OvsdbClient::Heal() {
 
 Status OvsdbClient::ReadMore(int timeout_ms) {
   if (fd_ < 0) return FailedPrecondition("not connected");
+  if (receive_fault_) {
+    receive_fault_ = false;
+    return FailedPrecondition("receive half shut down");
+  }
   pollfd pfd{fd_, POLLIN, 0};
   int ready = ::poll(&pfd, 1, timeout_ms);
   if (ready < 0) return Internal("poll() failed");

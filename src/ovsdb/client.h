@@ -191,6 +191,7 @@ class OvsdbClient {
   int DeliverQueued();
 
   int fd_ = -1;
+  bool receive_fault_ = false;  // InjectReceiveFault: fail the next read
   std::string host_;
   uint16_t port_ = 0;
   std::string session_token_;  // request-id namespace, fixed per client

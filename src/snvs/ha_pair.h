@@ -48,7 +48,7 @@ struct SnvsHaOptions {
   ha::Io* io = nullptr;
 
   /// Write retry / circuit-breaker policy, applied to both replicas.
-  Controller::RetryPolicy retry;
+  RetryPolicy retry;
   Controller::BreakerPolicy breaker;
 
   /// Fault injection for the data plane.  Each replica gets its *own*

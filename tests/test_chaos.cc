@@ -87,8 +87,8 @@ void SnvsSoak(uint64_t seed, FaultTally& tally) {
   options.devices = 2;
   options.fault.write_fail_probability = 0.15;
   options.retry.max_attempts = 2;
-  options.retry.initial_backoff_nanos = 1000;
-  options.retry.max_backoff_nanos = 4000;
+  options.retry.backoff.initial_nanos = 1000;
+  options.retry.backoff.max_nanos = 4000;
   options.breaker.enabled = true;
   options.breaker.strike_threshold = 2;
   options.breaker.cooldown_nanos = 0;  // probe on the next anti-entropy run
@@ -355,8 +355,8 @@ void FailoverSoak(uint64_t seed, FaultTally& tally,
   options.fault.write_fail_probability = 0.10;
   options.fault.seed = schedule.Fork();
   options.retry.max_attempts = 3;
-  options.retry.initial_backoff_nanos = 1000;
-  options.retry.max_backoff_nanos = 4000;
+  options.retry.backoff.initial_nanos = 1000;
+  options.retry.backoff.max_nanos = 4000;
 
   auto built = snvs::BuildSnvsHaPair(options);
   ASSERT_TRUE(built.ok()) << "seed " << seed << ": "

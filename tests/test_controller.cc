@@ -1,10 +1,9 @@
 // Controller-runtime behaviours: startup against a pre-populated database,
 // stats accounting, device routing errors, multicast group lifecycle,
-// lifecycle guards, and parallel per-device dispatch ordering.
+// lifecycle guards, and per-device dispatch on the committing thread.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <thread>
 
 #include "ha/fault.h"
@@ -162,16 +161,14 @@ TEST(Controller, LifecycleGuards) {
   EXPECT_TRUE(rig.controller->SyncDataPlaneNotifications().ok());
 }
 
-/// Records the op sequence seen by one device.  Deliberately unlocked: the
-/// dispatcher guarantees each device's batch runs on a single worker, so
-/// recording from it is single-threaded (TSan enforces the claim).  The
-/// sleep widens the window so batches for distinct devices actually
-/// overlap instead of finishing before the next is scheduled.
+/// Records the op sequence seen by one device and the thread each op ran
+/// on.  Deliberately unlocked: every write runs on the committing thread,
+/// so recording is single-threaded (TSan enforces the claim).
 class RecordingClient : public p4::RuntimeClient {
  public:
   using p4::RuntimeClient::RuntimeClient;
   Status Write(const std::vector<p4::Update>& updates) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    threads.push_back(std::this_thread::get_id());
     for (const p4::Update& update : updates) {
       ops.push_back(update.type == p4::UpdateType::kDelete ? 'D' : 'I');
     }
@@ -179,13 +176,15 @@ class RecordingClient : public p4::RuntimeClient {
   }
   Status SetMulticastGroup(uint32_t group,
                            std::vector<uint64_t> ports) override {
+    threads.push_back(std::this_thread::get_id());
     ops.push_back('M');
     return p4::RuntimeClient::SetMulticastGroup(group, std::move(ports));
   }
   std::vector<char> ops;
+  std::vector<std::thread::id> threads;
 };
 
-struct ParRig {
+struct DeviceRig {
   std::shared_ptr<const p4::P4Program> pipeline;
   std::unique_ptr<ovsdb::Database> db;
   Bindings bindings;
@@ -195,8 +194,8 @@ struct ParRig {
   std::unique_ptr<Controller> controller;
 };
 
-ParRig MakeParRig(int devices, Controller::Options options) {
-  ParRig rig;
+DeviceRig MakeDeviceRig(int devices, Controller::Options options) {
+  DeviceRig rig;
   rig.pipeline = p4::ParseP4Text(kPipeline).value();
   rig.db = std::make_unique<ovsdb::Database>(Schema());
   BindingOptions binding_options;
@@ -218,18 +217,41 @@ ParRig MakeParRig(int devices, Controller::Options options) {
 
 std::string DeviceName(int i) { return "sw" + std::to_string(i); }
 
-TEST(ControllerParallel, PerDeviceOrderIsSerialEquivalent) {
-  Controller::Options options;
-  options.write_parallelism = 4;
-  ParRig rig = MakeParRig(4, options);
+TEST(ControllerDispatch, WritesRunOnTheCommittingThread) {
+  // Table writes and multicast reprograms for every device run on the
+  // thread whose OVSDB commit produced them; nothing is handed to workers.
+  std::vector<std::unique_ptr<p4::Switch>> switches;
+  std::vector<std::unique_ptr<RecordingClient>> clients;
+  snvs::SnvsOptions options;
+  for (int i = 0; i < 2; ++i) {
+    switches.push_back(std::make_unique<p4::Switch>(snvs::SnvsP4Program()));
+    clients.push_back(
+        std::make_unique<RecordingClient>(switches.back().get()));
+    options.external_clients.push_back(clients.back().get());
+  }
+  auto stack = snvs::BuildSnvsStack(options).value();
+  ASSERT_TRUE(stack->AddPort("p1", 1, "access", 10).ok());
+  ASSERT_TRUE(stack->AddPort("p2", 2, "access", 10).ok());
+  ASSERT_TRUE(stack->controller().last_error().ok());
+  for (const auto& client : clients) {
+    EXPECT_NE(std::count(client->ops.begin(), client->ops.end(), 'I'), 0);
+    EXPECT_NE(std::count(client->ops.begin(), client->ops.end(), 'M'), 0);
+    for (std::thread::id thread : client->threads) {
+      EXPECT_EQ(thread, std::this_thread::get_id());
+    }
+  }
+}
+
+TEST(ControllerDispatch, DeletesPrecedeInsertsPerDevice) {
+  DeviceRig rig = MakeDeviceRig(4, Controller::Options{});
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(rig.controller
                     ->AddDevice(DeviceName(i), rig.clients[i].get())
                     .ok());
   }
   ASSERT_TRUE(rig.controller->Start().ok());
-  // One txn inserting 4 rows per device: concurrent batches, but each
-  // device sees only its own inserts.
+  // One txn inserting 4 rows per device: each device sees only its own
+  // inserts.
   {
     ovsdb::TxnBuilder txn(rig.db.get());
     for (int d = 0; d < 4; ++d) {
@@ -249,9 +271,9 @@ TEST(ControllerParallel, PerDeviceOrderIsSerialEquivalent) {
     rig.clients[d]->ops.clear();
   }
   // Move every row to a new vlan: per device the retractions must all
-  // land before the re-assertions (delete-before-insert is the serial
-  // order; violating it would transiently drop a matching entry or, for
-  // keyed modifies, fail the insert outright).
+  // land before the re-assertions (violating that order would transiently
+  // drop a matching entry or, for keyed modifies, fail the insert
+  // outright).
   {
     ovsdb::TxnBuilder txn(rig.db.get());
     txn.Update("Assignment", {}, {{"vlan", ovsdb::Datum::Integer(99)}});
@@ -269,10 +291,10 @@ TEST(ControllerParallel, PerDeviceOrderIsSerialEquivalent) {
   }
 }
 
-TEST(ControllerParallel, BurstAcrossDevicesConverges) {
-  // Auto parallelism (0 = one worker per device); many small txns, each
-  // fanning out to all devices.  Every write must land exactly once.
-  ParRig rig = MakeParRig(3, Controller::Options{});
+TEST(ControllerDispatch, BurstAcrossDevicesConverges) {
+  // Many small txns, each fanning out to all devices.  Every write must
+  // land exactly once.
+  DeviceRig rig = MakeDeviceRig(3, Controller::Options{});
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(rig.controller
                     ->AddDevice(DeviceName(i), rig.clients[i].get())
@@ -300,13 +322,12 @@ TEST(ControllerParallel, BurstAcrossDevicesConverges) {
   }
 }
 
-TEST(ControllerParallel, ParallelResyncOnStartConverges) {
+TEST(ControllerDispatch, ResyncOnStartConverges) {
   Controller::Options options;
   options.resync_on_start = true;
-  options.write_parallelism = 3;
-  ParRig rig = MakeParRig(3, options);
+  DeviceRig rig = MakeDeviceRig(3, options);
   // Rows exist before startup; resync_on_start diffs each (empty) device
-  // against desired state concurrently.
+  // against desired state.
   for (int d = 0; d < 3; ++d) {
     ovsdb::TxnBuilder txn(rig.db.get());
     txn.Insert("Assignment", {{"device", ovsdb::Datum::String(DeviceName(d))},
@@ -329,6 +350,32 @@ TEST(ControllerParallel, ParallelResyncOnStartConverges) {
   }
 }
 
+TEST(ControllerDispatch, FencedResyncStopsTheRound) {
+  // A newer leader already owns sw0: the startup resync's first write
+  // there is fenced, the controller demotes itself, and sw1 (next in
+  // registration order) is left to the newer leader instead of receiving
+  // this controller's state.
+  Controller::Options options;
+  options.resync_on_start = true;
+  options.fence_epoch = 1;
+  DeviceRig rig = MakeDeviceRig(2, options);
+  p4::RuntimeClient newer(rig.switches[0].get());
+  newer.set_fence_token(2);
+  ASSERT_TRUE(newer.Arbitrate().ok());
+  for (int d = 0; d < 2; ++d) {
+    ASSERT_TRUE(
+        AddAssignment(*rig.db, DeviceName(d).c_str(), d + 1, 10).ok());
+    ASSERT_TRUE(rig.controller
+                    ->AddDevice(DeviceName(d), rig.clients[d].get())
+                    .ok());
+  }
+  EXPECT_EQ(rig.controller->Start().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(rig.controller->role(), Role::kFollower);
+  EXPECT_EQ(rig.controller->stats().fenced_writes_rejected, 1u);
+  EXPECT_TRUE(rig.clients[1]->ops.empty());
+  EXPECT_EQ(rig.switches[1]->GetTable("VlanMap")->size(), 0u);
+}
+
 /// A device that is down hard: every write errors until `revived`.
 class DeadClient : public p4::RuntimeClient {
  public:
@@ -345,16 +392,15 @@ class DeadClient : public p4::RuntimeClient {
   bool revived = false;
 };
 
-TEST(ControllerParallel, DeadDeviceIsQuarantinedWhileOthersCommitFully) {
+TEST(ControllerDispatch, DeadDeviceIsQuarantinedWhileOthersCommitFully) {
   Controller::Options options;
-  options.write_parallelism = 3;
   options.retry.max_attempts = 2;
-  options.retry.initial_backoff_nanos = 1000;
-  options.retry.max_backoff_nanos = 2000;
+  options.retry.backoff.initial_nanos = 1000;
+  options.retry.backoff.max_nanos = 2000;
   options.breaker.enabled = true;
   options.breaker.strike_threshold = 1;
   options.breaker.cooldown_nanos = 0;  // probe on the next anti-entropy run
-  ParRig rig = MakeParRig(3, options);
+  DeviceRig rig = MakeDeviceRig(3, options);
   auto dead_sw = std::make_unique<p4::Switch>(rig.pipeline);
   DeadClient dead(dead_sw.get());
 
@@ -442,7 +488,7 @@ TEST(Controller, SlowDeviceTripsBreakerViaTimeoutStrikes) {
   options.breaker.strike_threshold = 2;
   options.breaker.cooldown_nanos = 0;
   options.breaker.write_timeout_nanos = 100'000;  // 0.1 ms budget
-  ParRig rig = MakeParRig(1, options);
+  DeviceRig rig = MakeDeviceRig(1, options);
   auto slow_sw = std::make_unique<p4::Switch>(rig.pipeline);
   ha::FaultPolicy policy;
   policy.write_fail_probability = 1.0;  // every write draws a fault...

@@ -317,6 +317,13 @@ TEST_F(GatewayTest, TableReadsFilterProjectAndSingleRow) {
 TEST_F(GatewayTest, CacheReadThroughAndInvalidation) {
   StartGateway();
   InsertPort("p", 1, 7);
+  // Let the monitor pump see the insert first: its invalidation landing
+  // between the two reads below would turn the hit into a miss.
+  int64_t give_up = MonotonicNanos() + 3'000'000'000;
+  while (gateway_->cache().Generation("Port") == 0 &&
+         MonotonicNanos() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // First read misses and populates; second hits.
   HttpConn::Reply first = GetFreshUntil(

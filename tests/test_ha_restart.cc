@@ -351,8 +351,8 @@ TEST(HaRestart, ControllerConvergesThroughInjectedWriteFaults) {
   options.fault.write_fail_probability = 0.2;
   options.fault.seed = 12345;
   options.retry.max_attempts = 8;
-  options.retry.initial_backoff_nanos = 1000;  // 1 us
-  options.retry.max_backoff_nanos = 10000;
+  options.retry.backoff.initial_nanos = 1000;  // 1 us
+  options.retry.backoff.max_nanos = 10000;
   auto faulty = BuildSnvsStack(options);
   ASSERT_TRUE(faulty.ok()) << faulty.status().ToString();
 
