@@ -46,9 +46,9 @@ run_suite build-ci-asan \
 # recording clients, OVSDB TCP service thread, HTTP gateway event loop +
 # workers, HA restart and hot-standby failover, chaos fault storms —
 # including the seeded failover soak in test_chaos — snvs integration end
-# to end, and the dlog differential suite whose parallel-bootstrap case
-# forces a 4-thread semi-naive fan-out regardless of core count) to keep
-# the wall clock sane.
+# to end, and the dlog differential suite: the engine now runs on its
+# caller's thread, and the suite stays here so that any thread it grows
+# again runs under TSan from the start) to keep the wall clock sane.
 echo "=== configure build-ci-tsan ==="
 cmake -B build-ci-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

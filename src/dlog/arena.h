@@ -10,9 +10,9 @@
 //   * Deallocation: push onto the *current* thread's free list — no
 //     atomics, no locks, no cross-thread contention on the hot path.
 //   * Slabs are owned by a global registry and released only at process
-//     exit: a node allocated by a bootstrap worker may be freed by the
-//     main thread long after the worker exited, so slab lifetime cannot
-//     be tied to any one thread.  A dying thread abandons whatever is on
+//     exit: a node allocated on one thread may be freed on another long
+//     after the first exited (engines move between threads with their
+//     owners), so slab lifetime cannot be tied to any one thread.  A dying thread abandons whatever is on
 //     its free lists; the memory stays valid in the registry and the
 //     waste is bounded by (threads x partial slabs).
 //

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <functional>
-#include <thread>
+#include <optional>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/log.h"
@@ -74,25 +74,21 @@ class Engine::Txn {
     trail_buffers_.resize(max_steps);
   }
 
-  Result<TxnDelta> Run(bool is_init) {
-    is_init_ = is_init;
-    overlay_ = nullptr;
-    if (e_.options_.enable_bootstrap && EngineIsEmpty()) {
-      return RunBootstrap();
-    }
+  /// Runs the queued inputs as one transaction.  "The engine is empty"
+  /// is the only selector between the bootstrap and incremental paths.
+  Result<TxnDelta> Run() {
+    if (EngineIsEmpty()) return RunBootstrap();
     Status status = Execute();
     if (!status.ok()) {
       // Failed Commit() contract: undo every partial effect so the engine
       // is byte-identical to its pre-transaction state.
       Rollback();
       Cleanup();
-      FlushCounters();
       return status;
     }
     TxnDelta out = CollectOutputs();
     ResetLogs();
     Cleanup();
-    FlushCounters();
     ++e_.transactions_;
     return out;
   }
@@ -112,25 +108,12 @@ class Engine::Txn {
         RowView key = ProjectInto(row, positions, arr_key_buf_);
         auto it = arr.index.find(key);
         if (it == arr.index.end()) {
-          ++c_.key_rows_materialized;
+          ++e_.key_rows_materialized_;
           it = arr.index.emplace(MaterializeKey(key), RowSet{}).first;
         }
         it->second.insert(row);
       }
     }
-  }
-
-  /// Merges transaction-local hot-path counters into the engine totals.
-  /// Called single-threaded: at the end of Run() for the main transaction,
-  /// and after the pool barrier for bootstrap workers.
-  void FlushCounters() {
-    e_.rule_firings_ += c_.rule_firings;
-    e_.probes_ += c_.probes;
-    e_.probe_hits_ += c_.probe_hits;
-    e_.scans_ += c_.scans;
-    e_.key_rows_materialized_ += c_.key_rows_materialized;
-    e_.key_allocs_saved_ += c_.key_allocs_saved;
-    c_ = Counters{};
   }
 
  private:
@@ -146,9 +129,6 @@ class Engine::Txn {
     return Status::Ok();
   }
 
-  /// Replays the undo logs in reverse through the same fold functions (with
-  /// logging disabled), restoring derivation counts, arrangements, and
-  /// aggregation state exactly.
   /// Empties the undo logs, returning outsized capacity (the Txn persists
   /// across transactions, so capacity follows the typical delta size).
   void ResetLogs() {
@@ -164,6 +144,9 @@ class Engine::Txn {
     }
   }
 
+  /// Replays the undo logs in reverse through the same fold functions (with
+  /// logging disabled), restoring derivation counts, arrangements, and
+  /// aggregation state exactly.
   void Rollback() {
     overlay_ = nullptr;
     rolling_back_ = true;
@@ -222,7 +205,7 @@ class Engine::Txn {
   void BumpFlip(Arrangement& arr, RowView key, int direction) {
     auto it = arr.flips.find(key);
     if (it == arr.flips.end()) {
-      ++c_.key_rows_materialized;
+      ++e_.key_rows_materialized_;
       arr.flips.emplace(MaterializeKey(key), direction);
       return;
     }
@@ -250,7 +233,7 @@ class Engine::Txn {
         if (direction > 0) {
           auto it = arr.index.find(key);
           if (it == arr.index.end()) {
-            ++c_.key_rows_materialized;
+            ++e_.key_rows_materialized_;
             it = arr.index.emplace(MaterializeKey(key), RowSet{}).first;
             BumpFlip(arr, key, +1);
           }
@@ -261,7 +244,7 @@ class Engine::Txn {
           it->second.erase(*row);
           auto del = arr.deleted.find(key);
           if (del == arr.deleted.end()) {
-            ++c_.key_rows_materialized;
+            ++e_.key_rows_materialized_;
             del = arr.deleted.emplace(MaterializeKey(key),
                                       std::vector<Row>{}).first;
           }
@@ -378,7 +361,7 @@ class Engine::Txn {
         mode == Mode::kOld && !state.set_delta.empty() ? &state.set_delta
                                                        : nullptr;
     if (arrangement >= 0 && !e_.options_.use_arrangements) {
-      ++c_.scans;
+      ++e_.scans_;
       // Ablation mode: scan and filter by the arrangement's key positions.
       const auto& positions =
           program_.arrangements()[static_cast<size_t>(rel)]
@@ -413,12 +396,12 @@ class Engine::Txn {
       return true;
     }
     if (arrangement >= 0) {
-      ++c_.probes;
-      ++c_.key_allocs_saved;
+      ++e_.probes_;
+      ++e_.key_allocs_saved_;
       Arrangement& arr = state.arrangements[static_cast<size_t>(arrangement)];
       auto bucket = arr.index.find(key);
       if (bucket != arr.index.end()) {
-        ++c_.probe_hits;
+        ++e_.probe_hits_;
         for (const Row& row : bucket->second) {
           if (ov != nullptr && OverlayHides(*ov, row)) continue;
           if (txn_inserted != nullptr) {
@@ -449,7 +432,7 @@ class Engine::Txn {
       return true;
     }
     // Full scan.
-    ++c_.scans;
+    ++e_.scans_;
     for (const auto& [row, count] : state.counts) {
       if (ov != nullptr && OverlayHides(*ov, row)) continue;
       if (txn_inserted != nullptr) {
@@ -563,15 +546,14 @@ class Engine::Txn {
     const CompiledRule* rule = nullptr;
     const std::vector<LookupPlan>* lookups = nullptr;
     int skip_step = -1;   // pinned literal (already bound), or -1
-    int pinned_step = -1; // for mode decisions in delta variants
-    bool delta_modes = false;  // true: j<pinned NEW, j>pinned OLD
+    bool delta_modes = false;  // true: j<skip_step NEW, j>skip_step OLD
     Mode uniform_mode = Mode::kNew;  // used when !delta_modes
     bool stop_at_aggregate = false;
   };
 
   Mode StepMode(const Exec& exec, int step_index) const {
     if (!exec.delta_modes) return exec.uniform_mode;
-    return step_index < exec.pinned_step ? Mode::kNew : Mode::kOld;
+    return step_index < exec.skip_step ? Mode::kNew : Mode::kOld;
   }
 
   /// Recursively executes body steps from `step_index` on; `lookup_index`
@@ -582,7 +564,7 @@ class Engine::Txn {
                    Sink&& sink) {
     const CompiledRule& rule = *exec.rule;
     if (step_index >= rule.steps.size()) {
-      ++c_.rule_firings;
+      ++e_.rule_firings_;
       return sink(frame_);
     }
     if (static_cast<int>(step_index) == exec.skip_step) {
@@ -659,7 +641,7 @@ class Engine::Txn {
       }
       case BodyElem::Kind::kAggregate: {
         if (exec.stop_at_aggregate) {
-          ++c_.rule_firings;
+          ++e_.rule_firings_;
           return sink(frame_);
         }
         return Internal("aggregate reached in non-aggregate execution");
@@ -689,6 +671,20 @@ class Engine::Txn {
     return body();
   }
 
+  /// One full evaluation of `rule` in original body order, every literal
+  /// read NEW; sink() runs per satisfying assignment.
+  template <typename Sink>
+  Status EvalFull(const CompiledRule& rule, bool stop_at_aggregate,
+                  Sink&& sink) {
+    Exec exec{.rule = &rule,
+              .lookups = &rule.full_plan.lookups,
+              .stop_at_aggregate = stop_at_aggregate};
+    return WithFrame(rule, [&]() -> Status {
+      return ExecSteps(exec, 0, 0,
+                       [&](std::vector<Value>&) -> Status { return sink(); });
+    });
+  }
+
   /// Evaluates the head expressions into a row.  All-bare-variable heads
   /// (the common case) gather straight from frame slots — no expression
   /// evaluation on the emit hot path.
@@ -711,27 +707,44 @@ class Engine::Txn {
 
   // --- Delta-plan driving ---
 
-  bool RuleHasPositiveLiteral(const CompiledRule& rule) const {
-    for (const StepPlan& step : rule.steps) {
-      if (step.kind == BodyElem::Kind::kLiteral && !step.negated) return true;
-    }
-    return false;
-  }
+  /// Which pinned changes a delta-plan pass replays, by the sign of the
+  /// derivation weight they carry: a deleted row, or a negated key that
+  /// became present, retracts (-1); their mirror images derive (+1).
+  enum class Changes { kAll, kRetractions, kDerivations };
 
-  /// Runs one delta variant of `rule` for every pinned change, feeding
-  /// (frame, weight) pairs into `sink`.
+  /// The pinned-change driver: runs one delta variant of `rule` for every
+  /// change of its pinned literal that `changes` selects — the set-delta
+  /// rows of a positive pin, the key presence flips of a negated one (or
+  /// whole-relation emptiness when its key is empty) — and feeds each
+  /// satisfying assignment's weight into `sink`.  With `uniform`, every
+  /// other literal reads that snapshot (recursive strata); without it,
+  /// literals left of the pin read NEW and those right of it OLD (the
+  /// bilinear expansion).
   template <typename Sink>
   Status ProcessDeltaPlan(const CompiledRule& rule, const DeltaPlan& plan,
+                          Changes changes, std::optional<Mode> uniform,
                           bool stop_at_aggregate, Sink&& sink) {
     const StepPlan& pinned =
         rule.steps[static_cast<size_t>(plan.pinned_step)];
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &plan.lookups;
-    exec.skip_step = plan.pinned_step;
-    exec.pinned_step = plan.pinned_step;
-    exec.delta_modes = true;
-    exec.stop_at_aggregate = stop_at_aggregate;
+    Exec exec{.rule = &rule,
+              .lookups = &plan.lookups,
+              .skip_step = plan.pinned_step,
+              .delta_modes = !uniform.has_value(),
+              .uniform_mode = uniform.value_or(Mode::kNew),
+              .stop_at_aggregate = stop_at_aggregate};
+    // Runs the rest of the body for one change of weight `w`, once `bind`
+    // has bound the pinned literal's variables (false: no match).
+    auto replay = [&](int64_t w, auto&& bind) -> Status {
+      if (changes != Changes::kAll &&
+          (w < 0) != (changes == Changes::kRetractions)) {
+        return Status::Ok();
+      }
+      return WithFrame(rule, [&]() -> Status {
+        if (!bind()) return Status::Ok();
+        return ExecSteps(exec, 0, 0,
+                         [&](std::vector<Value>&) { return sink(w); });
+      });
+    };
 
     RelState& pinned_state =
         e_.relations_[static_cast<size_t>(pinned.relation)];
@@ -739,16 +752,15 @@ class Engine::Txn {
       if (pinned_state.set_delta.empty()) return Status::Ok();
       // Copy: sinks may fold into unrelated relations, never this one, but
       // iterate a copy anyway to stay safe under rehash.
-      std::vector<std::pair<Row, int64_t>> changes(
+      std::vector<std::pair<Row, int64_t>> changed(
           pinned_state.set_delta.begin(), pinned_state.set_delta.end());
-      for (const auto& [row, weight] : changes) {
-        NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-          std::vector<int> trail;
-          if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
-          int64_t w = weight;
-          return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) {
-            return sink(w);
-          });
+      // The pinned step is skipped by ExecSteps, so its trail is free.
+      std::vector<int>& trail =
+          trail_buffers_[static_cast<size_t>(plan.pinned_step)];
+      for (const auto& [row, weight] : changed) {
+        NERPA_RETURN_IF_ERROR(replay(weight, [&] {
+          trail.clear();
+          return MatchTerms(pinned.terms, row, trail);
         }));
       }
       return Status::Ok();
@@ -761,75 +773,50 @@ class Engine::Txn {
       if (arr.flips.empty()) return Status::Ok();
       std::vector<std::pair<Row, int>> flips(arr.flips.begin(),
                                              arr.flips.end());
-      // Key positions, sorted, matching arrangement key construction.
-      const auto& spec = program_.arrangements()[static_cast<size_t>(
-          pinned.relation)][static_cast<size_t>(plan.pinned_arrangement)];
+      const ArrangementSpec& spec =
+          program_.arrangements()[static_cast<size_t>(pinned.relation)]
+                                 [static_cast<size_t>(plan.pinned_arrangement)];
       for (const auto& [key, flip] : flips) {
-        NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-          std::vector<int> trail;
-          // Bind pinned terms from the key.
-          for (size_t k = 0; k < spec.key_positions.size(); ++k) {
-            const TermPlan& term =
-                pinned.terms[static_cast<size_t>(spec.key_positions[k])];
-            if (term.kind == TermPlan::Kind::kCheckConst) {
-              if (!(key[k] == term.constant)) return Status::Ok();
-            } else {
-              size_t slot = static_cast<size_t>(term.slot);
-              if (bound_[slot]) {
-                if (!(frame_[slot] == key[k])) return Status::Ok();
-              } else {
-                frame_[slot] = key[k];
-                bound_[slot] = 1;
-                trail.push_back(term.slot);
-              }
-            }
-          }
-          int64_t w = -flip;  // key became present => derivations vanish
-          return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) {
-            return sink(w);
-          });
+        // A key that became present blocks derivations: weight -flip.
+        NERPA_RETURN_IF_ERROR(replay(-flip, [&] {
+          return BindNegatedKey(pinned, spec.key_positions, key);
         }));
       }
       return Status::Ok();
     }
     // Negated literal with an empty key: whole-relation emptiness flip.
-    bool old_nonempty;
-    {
-      size_t inserted = 0, deleted = 0;
-      for (const auto& [row, d] : pinned_state.set_delta) {
-        if (d > 0) ++inserted;
-        else ++deleted;
-      }
-      old_nonempty =
-          pinned_state.counts.size() + deleted - inserted > 0;
+    size_t inserted = 0, deleted = 0;
+    for (const auto& [row, d] : pinned_state.set_delta) {
+      if (d > 0) ++inserted;
+      else ++deleted;
     }
+    bool old_nonempty = pinned_state.counts.size() + deleted - inserted > 0;
     bool new_nonempty = !pinned_state.counts.empty();
     if (old_nonempty == new_nonempty) return Status::Ok();
-    int64_t w = new_nonempty ? -1 : +1;
-    return WithFrame(rule, [&]() -> Status {
-      return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) {
-        return sink(w);
-      });
-    });
+    return replay(new_nonempty ? -1 : +1, [] { return true; });
   }
 
-  /// Full evaluation of `rule` in original order (init-time rules without
-  /// positive literals; weight +1), mode = OLD per the implicit-TRUE-literal
-  /// delta expansion.
-  template <typename Sink>
-  Status ProcessInitFull(const CompiledRule& rule, bool stop_at_aggregate,
-                         Sink&& sink) {
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &rule.full_plan.lookups;
-    exec.delta_modes = false;
-    exec.uniform_mode = Mode::kOld;
-    exec.stop_at_aggregate = stop_at_aggregate;
-    return WithFrame(rule, [&]() -> Status {
-      return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) {
-        return sink(int64_t{1});
-      });
-    });
+  /// Binds a negated pin's arrangement key (the atom's non-ignored
+  /// `positions`, in order) into the frame.  A variable repeated in the
+  /// atom must take one value at every position: a key (1, 2) binds
+  /// nothing for `not B(a, a)`.  Returns false on a mismatch.
+  bool BindNegatedKey(const StepPlan& pinned,
+                      const std::vector<int>& positions, const Row& key) {
+    for (size_t k = 0; k < positions.size(); ++k) {
+      const TermPlan& term = pinned.terms[static_cast<size_t>(positions[k])];
+      if (term.kind == TermPlan::Kind::kCheckConst) {
+        if (!(key[k] == term.constant)) return false;
+        continue;
+      }
+      size_t slot = static_cast<size_t>(term.slot);
+      if (bound_[slot]) {
+        if (!(frame_[slot] == key[k])) return false;
+      } else {
+        frame_[slot] = key[k];
+        bound_[slot] = 1;
+      }
+    }
+    return true;
   }
 
   // --- Aggregation ---
@@ -849,14 +836,14 @@ class Engine::Txn {
       case AggFunc::kCount:
         return Value::Int(static_cast<int64_t>(group.size()));
       case AggFunc::kSum: {
-        int64_t total = 0;
+        // Unsigned, so an overflowing sum wraps instead of being undefined.
+        uint64_t total = 0;
         bool is_bit = step.result_type.kind == Type::Kind::kBit;
         for (const auto& [binding, count] : group) {
-          total += binding.back().NumericAsInt();
+          total += static_cast<uint64_t>(binding.back().NumericAsInt());
         }
-        return is_bit ? Value::Bit(step.result_type.MaskBits(
-                            static_cast<uint64_t>(total)))
-                      : Value::Int(total);
+        return is_bit ? Value::Bit(step.result_type.MaskBits(total))
+                      : Value::Int(static_cast<int64_t>(total));
       }
       case AggFunc::kMin:
       case AggFunc::kMax: {
@@ -896,13 +883,11 @@ class Engine::Txn {
       return Status::Ok();
     };
 
-    if (is_init_ && !RuleHasPositiveLiteral(rule)) {
-      NERPA_RETURN_IF_ERROR(
-          ProcessInitFull(rule, /*stop_at_aggregate=*/true, collect));
-    }
     for (const DeltaPlan& plan : rule.delta_plans) {
-      NERPA_RETURN_IF_ERROR(
-          ProcessDeltaPlan(rule, plan, /*stop_at_aggregate=*/true, collect));
+      NERPA_RETURN_IF_ERROR(ProcessDeltaPlan(rule, plan, Changes::kAll,
+                                             std::nullopt,
+                                             /*stop_at_aggregate=*/true,
+                                             collect));
     }
     if (collected.empty()) return Status::Ok();
 
@@ -977,13 +962,11 @@ class Engine::Txn {
         if (w == 0) head_delta.erase(row);
         return Status::Ok();
       };
-      if (is_init_ && !RuleHasPositiveLiteral(rule)) {
-        NERPA_RETURN_IF_ERROR(
-            ProcessInitFull(rule, /*stop_at_aggregate=*/false, emit));
-      }
       for (const DeltaPlan& plan : rule.delta_plans) {
-        NERPA_RETURN_IF_ERROR(
-            ProcessDeltaPlan(rule, plan, /*stop_at_aggregate=*/false, emit));
+        NERPA_RETURN_IF_ERROR(ProcessDeltaPlan(rule, plan, Changes::kAll,
+                                               std::nullopt,
+                                               /*stop_at_aggregate=*/false,
+                                               emit));
       }
     }
     Status folded = FoldCountDelta(head_rel, head_delta);
@@ -1000,18 +983,122 @@ class Engine::Txn {
     std::vector<std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>>
         inserted_index;  // parallel to the relation's arrangements
   };
+  using SccWorkMap = std::unordered_map<int, SccWork>;
 
-  Status ProcessRecursive(const Stratum& stratum) {
-    std::unordered_map<int, SccWork> work;
+  SccWorkMap NewSccWork(const Stratum& stratum) const {
+    SccWorkMap work;
     for (int rel : stratum.relations) {
-      SccWork& w = work[rel];
-      w.inserted_index.resize(
+      work[rel].inserted_index.resize(
           program_.arrangements()[static_cast<size_t>(rel)].size());
     }
+    return work;
+  }
+
+  /// Fires every rule of `stratum` pinned (positively) on tuple `row` of
+  /// SCC relation `rel`, reading the rest of each body in `mode`, and hands
+  /// each derived head to `emit(head_relation, head)`.
+  template <typename Emit>
+  Status FirePinnedOn(const Stratum& stratum, int rel, const Row& row,
+                      Mode mode, Emit&& emit) {
+    for (int rule_index : stratum.rules) {
+      const CompiledRule& rule =
+          program_.rules()[static_cast<size_t>(rule_index)];
+      for (const DeltaPlan& plan : rule.delta_plans) {
+        const StepPlan& pinned =
+            rule.steps[static_cast<size_t>(plan.pinned_step)];
+        if (pinned.relation != rel || pinned.negated) continue;
+        Exec exec{.rule = &rule,
+                  .lookups = &plan.lookups,
+                  .skip_step = plan.pinned_step,
+                  .uniform_mode = mode};
+        std::vector<int>& trail =
+            trail_buffers_[static_cast<size_t>(plan.pinned_step)];
+        NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
+          trail.clear();
+          if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
+          return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
+            NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
+            emit(rule.head_relation, head);
+            return Status::Ok();
+          });
+        }));
+      }
+    }
+    return Status::Ok();
+  }
+
+  /// Semi-naive insertion for one recursive stratum over the base state
+  /// minus `work`'s overdeleted (and not rederived) tuples: `seed(insert)`
+  /// derives the first tuples, then every rule pinned on each newly
+  /// inserted tuple fires, reading NEW, until nothing new appears.  New
+  /// tuples collect in work[rel].inserted.  Shared by the incremental path
+  /// and the bootstrap, which differ only in how they seed.
+  template <typename Seed>
+  Status InsertSemiNaive(const Stratum& stratum, SccWorkMap& work,
+                         Seed&& seed) {
+    Overlay overlay;
+    for (auto& [rel, w] : work) {
+      RelOverlay& ov = overlay[rel];
+      ov.removed = &w.overdeleted;
+      ov.removed_except = &w.rederived;
+      ov.added = &w.inserted;
+      ov.added_index = &w.inserted_index;
+    }
+    std::vector<std::pair<int, Row>> derived;   // heads of the running pass
+    std::vector<std::pair<int, Row>> worklist;  // (relation, tuple)
+    auto insert = [&](int rel, const Row& row) {
+      derived.emplace_back(rel, row);
+    };
+    // A pass iterates the overlay's containers, so the heads it derives
+    // join the overlay only after it returns.  Each new tuple still meets
+    // every other one: the later of the two fires with the earlier visible.
+    auto flush = [&] {
+      for (auto& [rel, row] : derived) {
+        SccWork& w = work[rel];
+        if (w.inserted.count(row) != 0) continue;
+        // Present in the working state already?
+        RelState& state = e_.relations_[static_cast<size_t>(rel)];
+        bool base_present = state.counts.count(row) != 0 &&
+                            !(w.overdeleted.count(row) != 0 &&
+                              w.rederived.count(row) == 0);
+        if (base_present) continue;
+        w.inserted.insert(row);
+        const auto& specs =
+            program_.arrangements()[static_cast<size_t>(rel)];
+        for (size_t a = 0; a < specs.size(); ++a) {
+          RowView key =
+              ProjectInto(row, specs[a].key_positions, arr_key_buf_);
+          auto& index = w.inserted_index[a];
+          auto it = index.find(key);
+          if (it == index.end()) {
+            ++e_.key_rows_materialized_;
+            it = index.emplace(MaterializeKey(key), std::vector<Row>{}).first;
+          }
+          it->second.push_back(row);
+        }
+        worklist.emplace_back(rel, std::move(row));
+      }
+      derived.clear();
+    };
+    overlay_ = &overlay;
+    Status status = seed(insert);
+    flush();
+    while (status.ok() && !worklist.empty()) {
+      auto [rel, row] = std::move(worklist.back());
+      worklist.pop_back();
+      status = FirePinnedOn(stratum, rel, row, Mode::kNew, insert);
+      flush();
+    }
+    overlay_ = nullptr;
+    return status;
+  }
+
+  Status ProcessRecursive(const Stratum& stratum) {
+    SccWorkMap work = NewSccWork(stratum);
     auto in_scc = [&](int rel) { return work.count(rel) != 0; };
 
     // Does any external dependency carry a delta?  (Cheap early-out.)
-    bool external_change = is_init_;
+    bool external_change = false;
     for (int rule_index : stratum.rules) {
       const CompiledRule& rule =
           program_.rules()[static_cast<size_t>(rule_index)];
@@ -1026,7 +1113,7 @@ class Engine::Txn {
     if (!external_change) return Status::Ok();
 
     // ---- Phase 1: overdelete, then rederive (DRed). ----
-    // Seeds: deletion-direction external changes, everything read OLD.
+    // Seeds: retractions through external pins, everything read OLD.
     std::vector<std::pair<int, Row>> worklist;  // (relation, tuple)
     auto overdelete = [&](int rel, const Row& row) {
       SccWork& w = work[rel];
@@ -1036,53 +1123,37 @@ class Engine::Txn {
       w.overdeleted.insert(row);
       worklist.emplace_back(rel, row);
     };
-
-    for (int rule_index : stratum.rules) {
-      const CompiledRule& rule =
-          program_.rules()[static_cast<size_t>(rule_index)];
-      for (const DeltaPlan& plan : rule.delta_plans) {
-        const StepPlan& pinned =
-            rule.steps[static_cast<size_t>(plan.pinned_step)];
-        if (in_scc(pinned.relation)) continue;  // SCC pins handled below
-        // Deletion direction only: positive literal deletions (weight -1)
-        // and negated-literal keys that became present (flip +1 => w -1).
-        NERPA_RETURN_IF_ERROR(ProcessDeltaVariantDirection(
-            rule, plan, /*deletion_direction=*/true, Mode::kOld,
-            [&](std::vector<Value>&) -> Status {
-              NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-              overdelete(rule.head_relation, row);
-              return Status::Ok();
-            }));
-      }
-    }
-    // Propagate overdeletion through SCC literals (all OLD state).
-    while (!worklist.empty()) {
-      auto [rel, row] = std::move(worklist.back());
-      worklist.pop_back();
+    // External pins drive one direction each phase: retractions here,
+    // derivations in phase 2.  (SCC pins fire through the worklists.)
+    auto for_external_pins = [&](Changes changes, Mode mode,
+                                 auto&& emit) -> Status {
       for (int rule_index : stratum.rules) {
         const CompiledRule& rule =
             program_.rules()[static_cast<size_t>(rule_index)];
         for (const DeltaPlan& plan : rule.delta_plans) {
-          const StepPlan& pinned =
-              rule.steps[static_cast<size_t>(plan.pinned_step)];
-          if (pinned.relation != rel || pinned.negated) continue;
-          Exec exec;
-          exec.rule = &rule;
-          exec.lookups = &plan.lookups;
-          exec.skip_step = plan.pinned_step;
-          exec.delta_modes = false;
-          exec.uniform_mode = Mode::kOld;
-          NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-            std::vector<int> trail;
-            if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
-            return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-              NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-              overdelete(rule.head_relation, head);
-              return Status::Ok();
-            });
-          }));
+          if (in_scc(rule.steps[static_cast<size_t>(plan.pinned_step)]
+                         .relation)) {
+            continue;
+          }
+          NERPA_RETURN_IF_ERROR(ProcessDeltaPlan(
+              rule, plan, changes, mode, /*stop_at_aggregate=*/false,
+              [&](int64_t) -> Status {
+                NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
+                emit(rule.head_relation, head);
+                return Status::Ok();
+              }));
         }
       }
+      return Status::Ok();
+    };
+    NERPA_RETURN_IF_ERROR(
+        for_external_pins(Changes::kRetractions, Mode::kOld, overdelete));
+    // Propagate overdeletion through SCC literals (all OLD state).
+    while (!worklist.empty()) {
+      auto [rel, row] = std::move(worklist.back());
+      worklist.pop_back();
+      NERPA_RETURN_IF_ERROR(
+          FirePinnedOn(stratum, rel, row, Mode::kOld, overdelete));
     }
 
     // Rederive: a tuple survives if some rule body still derives it from
@@ -1130,22 +1201,16 @@ class Engine::Txn {
           const CompiledRule& rule =
               program_.rules()[static_cast<size_t>(rule_index)];
           SccWork& w = work[rule.head_relation];
-          Exec exec;
-          exec.rule = &rule;
-          exec.lookups = &rule.full_plan.lookups;
-          exec.delta_modes = false;
-          exec.uniform_mode = Mode::kNew;
-          Status status = WithFrame(rule, [&]() -> Status {
-            return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-              NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-              if (w.overdeleted.count(head) != 0 &&
-                  w.rederived.count(head) == 0) {
-                w.rederived.insert(head);
-                changed = true;
-              }
-              return Status::Ok();
-            });
-          });
+          auto keep = [&]() -> Status {
+            NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
+            if (w.overdeleted.count(head) != 0 &&
+                w.rederived.count(head) == 0) {
+              w.rederived.insert(head);
+              changed = true;
+            }
+            return Status::Ok();
+          };
+          Status status = EvalFull(rule, /*stop_at_aggregate=*/false, keep);
           overlay_ = nullptr;
           NERPA_RETURN_IF_ERROR(status);
           overlay_ = &rederive_overlay;
@@ -1155,101 +1220,11 @@ class Engine::Txn {
     }
 
     // ---- Phase 2: semi-naive insertion over the post-deletion state. ----
-    Overlay insert_overlay;
-    for (int rel : stratum.relations) {
-      RelOverlay ov;
-      ov.removed = &work[rel].overdeleted;
-      ov.removed_except = &work[rel].rederived;
-      ov.added = &work[rel].inserted;
-      ov.added_index = &work[rel].inserted_index;
-      insert_overlay[rel] = ov;
-    }
-    overlay_ = &insert_overlay;
-    std::vector<std::pair<int, Row>> insert_worklist;
-    auto insert_tuple = [&](int rel, const Row& row) {
-      SccWork& w = work[rel];
-      if (w.inserted.count(row) != 0) return;
-      // Present in the working state already?
-      RelState& state = e_.relations_[static_cast<size_t>(rel)];
-      bool base_present = state.counts.count(row) != 0 &&
-                          !(w.overdeleted.count(row) != 0 &&
-                            w.rederived.count(row) == 0);
-      if (base_present) return;
-      w.inserted.insert(row);
-      const auto& specs = program_.arrangements()[static_cast<size_t>(rel)];
-      for (size_t a = 0; a < specs.size(); ++a) {
-        RowView key = ProjectInto(row, specs[a].key_positions, arr_key_buf_);
-        auto& index = w.inserted_index[a];
-        auto it = index.find(key);
-        if (it == index.end()) {
-          ++c_.key_rows_materialized;
-          it = index.emplace(MaterializeKey(key), std::vector<Row>{}).first;
-        }
-        it->second.push_back(row);
-      }
-      insert_worklist.emplace_back(rel, row);
-    };
-
-    for (int rule_index : stratum.rules) {
-      const CompiledRule& rule =
-          program_.rules()[static_cast<size_t>(rule_index)];
-      auto emit = [&](std::vector<Value>&) -> Status {
-        NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-        insert_tuple(rule.head_relation, row);
-        return Status::Ok();
-      };
-      if (is_init_ && !RuleHasPositiveLiteral(rule)) {
-        Exec exec;
-        exec.rule = &rule;
-        exec.lookups = &rule.full_plan.lookups;
-        exec.delta_modes = false;
-        exec.uniform_mode = Mode::kOld;
-        NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-          return ExecSteps(exec, 0, 0, emit);
+    NERPA_RETURN_IF_ERROR(
+        InsertSemiNaive(stratum, work, [&](auto& insert) -> Status {
+          return for_external_pins(Changes::kDerivations, Mode::kNew,
+                                   insert);
         }));
-      }
-      // Also: rules with only external literals and fact-like rules fire
-      // through insertion-direction external deltas.
-      for (const DeltaPlan& plan : rule.delta_plans) {
-        const StepPlan& pinned =
-            rule.steps[static_cast<size_t>(plan.pinned_step)];
-        if (in_scc(pinned.relation)) continue;
-        NERPA_RETURN_IF_ERROR(ProcessDeltaVariantDirection(
-            rule, plan, /*deletion_direction=*/false, Mode::kNew, emit));
-      }
-      // Rederived-from-deletions interplay: a deleted external tuple can
-      // also *enable* a negated literal; that is the insertion direction of
-      // a negated pin and is covered above.
-    }
-    while (!insert_worklist.empty()) {
-      auto [rel, row] = std::move(insert_worklist.back());
-      insert_worklist.pop_back();
-      for (int rule_index : stratum.rules) {
-        const CompiledRule& rule =
-            program_.rules()[static_cast<size_t>(rule_index)];
-        for (const DeltaPlan& plan : rule.delta_plans) {
-          const StepPlan& pinned =
-              rule.steps[static_cast<size_t>(plan.pinned_step)];
-          if (pinned.relation != rel || pinned.negated) continue;
-          Exec exec;
-          exec.rule = &rule;
-          exec.lookups = &plan.lookups;
-          exec.skip_step = plan.pinned_step;
-          exec.delta_modes = false;
-          exec.uniform_mode = Mode::kNew;
-          NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-            std::vector<int> trail;
-            if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
-            return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-              NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-              insert_tuple(rule.head_relation, head);
-              return Status::Ok();
-            });
-          }));
-        }
-      }
-    }
-    overlay_ = nullptr;
 
     // ---- Fold the net changes. ----
     for (int rel : stratum.relations) {
@@ -1261,94 +1236,12 @@ class Engine::Txn {
         delta.emplace_back(row, -1);
       }
       for (const Row& row : w.inserted) {
+        // An overdeleted tuple that phase 2 re-inserted was present all
+        // along: net zero, like the skip above.
+        if (w.overdeleted.count(row) != 0) continue;
         delta.emplace_back(row, +1);
       }
       FoldSetDelta(rel, delta);
-    }
-    return Status::Ok();
-  }
-
-  /// Runs a delta variant restricted to one direction of external change:
-  /// deletion direction = positive-literal deletions and negation flips to
-  /// present; insertion direction = the mirror images.  All non-pinned
-  /// literals are read with `uniform_mode` (recursive strata use all-OLD
-  /// for overdeletion and all-NEW for insertion).
-  template <typename Sink>
-  Status ProcessDeltaVariantDirection(const CompiledRule& rule,
-                                      const DeltaPlan& plan,
-                                      bool deletion_direction, Mode mode,
-                                      Sink&& sink) {
-    const StepPlan& pinned =
-        rule.steps[static_cast<size_t>(plan.pinned_step)];
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &plan.lookups;
-    exec.skip_step = plan.pinned_step;
-    exec.delta_modes = false;
-    exec.uniform_mode = mode;
-
-    RelState& pinned_state =
-        e_.relations_[static_cast<size_t>(pinned.relation)];
-    if (!pinned.negated) {
-      int want = deletion_direction ? -1 : +1;
-      if (pinned_state.set_delta.empty()) return Status::Ok();
-      std::vector<Row> rows;
-      for (const auto& [row, weight] : pinned_state.set_delta) {
-        if ((weight < 0) == (want < 0)) rows.push_back(row);
-      }
-      for (const Row& row : rows) {
-        NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-          std::vector<int> trail;
-          if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
-          return ExecSteps(exec, 0, 0, sink);
-        }));
-      }
-      return Status::Ok();
-    }
-    // Negated pin: deletion direction = keys that became present (flip +1).
-    if (plan.pinned_arrangement < 0) {
-      // Empty key: whole-relation emptiness flip.
-      size_t inserted = 0, deleted = 0;
-      for (const auto& [row, d] : pinned_state.set_delta) {
-        if (d > 0) ++inserted;
-        else ++deleted;
-      }
-      bool old_nonempty = pinned_state.counts.size() + deleted - inserted > 0;
-      bool new_nonempty = !pinned_state.counts.empty();
-      if (old_nonempty == new_nonempty) return Status::Ok();
-      bool became_present = !old_nonempty && new_nonempty;
-      if (became_present != deletion_direction) return Status::Ok();
-      return WithFrame(rule, [&]() -> Status {
-        return ExecSteps(exec, 0, 0, sink);
-      });
-    }
-    Arrangement& arr = pinned_state.arrangements[static_cast<size_t>(
-        plan.pinned_arrangement)];
-    if (arr.flips.empty()) return Status::Ok();
-    int want_flip = deletion_direction ? +1 : -1;
-    const auto& spec = program_.arrangements()[static_cast<size_t>(
-        pinned.relation)][static_cast<size_t>(plan.pinned_arrangement)];
-    std::vector<Row> keys;
-    for (const auto& [key, flip] : arr.flips) {
-      if ((flip > 0) == (want_flip > 0)) keys.push_back(key);
-    }
-    for (const Row& key : keys) {
-      NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-        std::vector<int> trail;
-        for (size_t k = 0; k < spec.key_positions.size(); ++k) {
-          const TermPlan& term =
-              pinned.terms[static_cast<size_t>(spec.key_positions[k])];
-          if (term.kind == TermPlan::Kind::kCheckConst) {
-            if (!(key[k] == term.constant)) return Status::Ok();
-          } else {
-            size_t slot = static_cast<size_t>(term.slot);
-            frame_[slot] = key[k];
-            bound_[slot] = 1;
-            trail.push_back(term.slot);
-          }
-        }
-        return ExecSteps(exec, 0, 0, sink);
-      }));
     }
     return Status::Ok();
   }
@@ -1364,11 +1257,7 @@ class Engine::Txn {
       const CompiledRule& rule =
           program_.rules()[static_cast<size_t>(rule_index)];
       if (rule.head_relation != rel) continue;
-      Exec exec;
-      exec.rule = &rule;
-      exec.lookups = &rule.rederive_plan.lookups;
-      exec.delta_modes = false;
-      exec.uniform_mode = Mode::kNew;
+      Exec exec{.rule = &rule, .lookups = &rule.rederive_plan.lookups};
       Status status = WithFrame(rule, [&]() -> Status {
         std::vector<int> trail;
         if (!MatchTerms(rule.head_pattern, row, trail)) return Status::Ok();
@@ -1391,9 +1280,6 @@ class Engine::Txn {
 
   Status ApplyInputs() {
     if (e_.pending_.empty()) return Status::Ok();
-    if (e_.pending_.size() <= e_.options_.small_commit_ops) {
-      return ApplyInputsSmall();
-    }
     // Net presence change per (relation, row), respecting op order.
     std::map<int, std::vector<std::pair<Row, int>>> net;
     std::map<int, std::unordered_map<Row, bool, RowHash, RowEq>> finals;
@@ -1411,45 +1297,6 @@ class Engine::Txn {
     e_.pending_.clear();
     for (auto& [rel, delta] : net) {
       FoldSetDelta(rel, delta);
-    }
-    return Status::Ok();
-  }
-
-  /// Small-commit fast path: the batch is tiny, so last-op-wins netting is
-  /// a quadratic scan over the pending vector and per-relation grouping
-  /// reuses persistent scratch — no std::map nodes, no hash tables, no
-  /// allocations in steady state.
-  Status ApplyInputsSmall() {
-    const auto& pending = e_.pending_;
-    for (auto& [rel, delta] : small_input_scratch_) delta.clear();
-    for (size_t i = 0; i < pending.size(); ++i) {
-      const auto& [rel, row, direction] = pending[i];
-      bool superseded = false;  // a later op on the same (rel, row) wins
-      for (size_t j = i + 1; j < pending.size() && !superseded; ++j) {
-        superseded =
-            std::get<0>(pending[j]) == rel && std::get<1>(pending[j]) == row;
-      }
-      if (superseded) continue;
-      RelState& state = e_.relations_[static_cast<size_t>(rel)];
-      bool present_final = direction > 0;
-      if ((state.counts.count(row) != 0) == present_final) continue;
-      std::vector<std::pair<Row, int>>* delta = nullptr;
-      for (auto& [r, d] : small_input_scratch_) {
-        if (r == rel) {
-          delta = &d;
-          break;
-        }
-      }
-      if (delta == nullptr) {
-        delta = &small_input_scratch_.emplace_back(rel,
-                                                   std::vector<std::pair<Row, int>>{})
-                     .second;
-      }
-      delta->emplace_back(row, present_final ? +1 : -1);
-    }
-    e_.pending_.clear();
-    for (const auto& [rel, delta] : small_input_scratch_) {
-      if (!delta.empty()) FoldSetDelta(rel, delta);
     }
     return Status::Ok();
   }
@@ -1505,15 +1352,13 @@ class Engine::Txn {
     Status status = ExecuteBootstrap();
     if (!status.ok()) {
       WipeToEmpty();
-      FlushCounters();
       return status;
     }
-    TxnDelta out = CollectBootstrapOutputs();
+    TxnDelta out = std::exchange(bootstrap_delta_, TxnDelta{});
     for (int rel : dirty_rels_) {
       e_.relations_[static_cast<size_t>(rel)].dirty = false;
     }
     dirty_rels_.clear();
-    FlushCounters();
     ++e_.transactions_;
     return out;
   }
@@ -1552,155 +1397,6 @@ class Engine::Txn {
     for (int rel : dirty_rels_) BuildArrangements(rel);
   }
 
-  /// The positive literal whose relation holds the most rows: the best
-  /// axis to partition the join pass across workers.  -1 if the body has
-  /// no positive literal.
-  int ChooseBootstrapPin(const CompiledRule& rule) const {
-    int best = -1;
-    size_t best_rows = 0;
-    for (size_t s = 0; s < rule.steps.size(); ++s) {
-      const StepPlan& step = rule.steps[s];
-      if (step.kind != BodyElem::Kind::kLiteral || step.negated) continue;
-      size_t rows =
-          e_.relations_[static_cast<size_t>(step.relation)].counts.size();
-      if (best < 0 || rows > best_rows) {
-        best = static_cast<int>(s);
-        best_rows = rows;
-      }
-    }
-    return best;
-  }
-
-  static const DeltaPlan* FindDeltaPlan(const CompiledRule& rule,
-                                        int pinned_step) {
-    for (const DeltaPlan& plan : rule.delta_plans) {
-      if (plan.pinned_step == pinned_step) return &plan;
-    }
-    return nullptr;
-  }
-
-  /// Evaluates `rule` over a slice of the pinned relation's rows, with all
-  /// other literals read in NEW mode, appending head derivations to `out`.
-  /// Runs on worker Txns during the parallel bootstrap: reads only shared
-  /// engine state (stable during a stratum's evaluation) and writes only
-  /// this Txn's scratch plus `out`.
-  Status BootstrapEvalPinned(const CompiledRule& rule, const DeltaPlan& plan,
-                             const Row* const* rows, size_t n,
-                             std::vector<Row>& out) {
-    const StepPlan& pinned =
-        rule.steps[static_cast<size_t>(plan.pinned_step)];
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &plan.lookups;
-    exec.skip_step = plan.pinned_step;
-    exec.pinned_step = plan.pinned_step;
-    exec.delta_modes = false;
-    exec.uniform_mode = Mode::kNew;
-    auto emit = [&](std::vector<Value>&) -> Status {
-      return EmitBootstrapHead(rule, out);
-    };
-    std::vector<int>& trail =
-        trail_buffers_[static_cast<size_t>(plan.pinned_step)];
-    for (size_t i = 0; i < n; ++i) {
-      const Row& row = *rows[i];
-      NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-        trail.clear();
-        if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
-        return ExecSteps(exec, 0, 0, emit);
-      }));
-    }
-    return Status::Ok();
-  }
-
-  /// Lazily builds the engine's bootstrap pool + per-worker Txns; returns
-  /// the worker count (1 = stay serial).
-  size_t EnsureWorkers() {
-    size_t want = e_.options_.bootstrap_threads;
-    if (want == 0) {
-      unsigned hw = std::thread::hardware_concurrency();
-      want = hw == 0 ? 1 : std::min<size_t>(hw, 16);
-    }
-    if (want <= 1) return 1;
-    if (e_.bootstrap_pool_ == nullptr) {
-      e_.bootstrap_pool_ = std::make_unique<nerpa::ThreadPool>(want);
-      for (size_t i = 0; i < want; ++i) {
-        e_.bootstrap_workers_.push_back(std::make_unique<Txn>(&e_));
-      }
-    }
-    return e_.bootstrap_workers_.size();
-  }
-
-  /// Fans one rule's join pass out across the pool: the pinned relation's
-  /// rows are split into contiguous chunks, each worker Txn evaluates its
-  /// chunk into a private row vector (private frame/scratch/counters,
-  /// shared read-only engine state), and the partials concatenate at the
-  /// barrier.  The stratum fold sorts before aggregating derivation
-  /// counts, so concatenation order cannot affect the result — serial and
-  /// parallel bootstraps are byte-identical.
-  Status BootstrapRuleParallel(const CompiledRule& rule, const DeltaPlan& plan,
-                               RelState& pinned_state,
-                               std::vector<Row>& emitted) {
-    std::vector<const Row*> rows;
-    rows.reserve(pinned_state.counts.size());
-    for (const auto& [row, count] : pinned_state.counts) rows.push_back(&row);
-    size_t n = rows.size();
-    size_t workers = e_.bootstrap_workers_.size();
-    size_t chunk = (n + workers - 1) / workers;
-    std::vector<std::vector<Row>> partial(workers);
-    std::vector<Status> status(workers, Status::Ok());
-    for (size_t w = 0; w < workers; ++w) {
-      size_t begin = w * chunk;
-      size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      Txn* worker = e_.bootstrap_workers_[w].get();
-      std::vector<Row>* out = &partial[w];
-      Status* st = &status[w];
-      e_.bootstrap_pool_->Submit([worker, &rule, &plan, &rows, begin, end,
-                                  out, st]() {
-        *st = worker->BootstrapEvalPinned(rule, plan, rows.data() + begin,
-                                          end - begin, *out);
-      });
-    }
-    e_.bootstrap_pool_->WaitIdle();
-    for (const std::unique_ptr<Txn>& worker : e_.bootstrap_workers_) {
-      worker->FlushCounters();
-    }
-    for (const Status& st : status) NERPA_RETURN_IF_ERROR(st);
-    for (std::vector<Row>& p : partial) {
-      emitted.insert(emitted.end(), std::make_move_iterator(p.begin()),
-                     std::make_move_iterator(p.end()));
-    }
-    return Status::Ok();
-  }
-
-  Status BootstrapRule(const CompiledRule& rule, std::vector<Row>& emitted) {
-    int pin = ChooseBootstrapPin(rule);
-    if (pin >= 0) {
-      const StepPlan& pinned = rule.steps[static_cast<size_t>(pin)];
-      RelState& pinned_state =
-          e_.relations_[static_cast<size_t>(pinned.relation)];
-      if (pinned_state.counts.empty()) return Status::Ok();  // empty join
-      const DeltaPlan* plan = FindDeltaPlan(rule, pin);
-      if (plan != nullptr &&
-          pinned_state.counts.size() >=
-              e_.options_.parallel_bootstrap_min_rows &&
-          EnsureWorkers() > 1) {
-        return BootstrapRuleParallel(rule, *plan, pinned_state, emitted);
-      }
-    }
-    // Serial: one full evaluation against the post-state of lower strata.
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &rule.full_plan.lookups;
-    exec.delta_modes = false;
-    exec.uniform_mode = Mode::kNew;
-    return WithFrame(rule, [&]() -> Status {
-      return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-        return EmitBootstrapHead(rule, emitted);
-      });
-    });
-  }
-
   /// Appends `rule`'s head row for the current frame to `out`.  The
   /// all-bare-variable head gathers in place, skipping the Result<Row>
   /// plumbing entirely — this runs once per derived tuple during cold
@@ -1727,22 +1423,16 @@ class Engine::Txn {
     const StepPlan& agg =
         rule.steps[static_cast<size_t>(rule.aggregate_step)];
     std::unordered_map<Row, ZSet, RowHash, RowEq> collected;
-    Exec exec;
-    exec.rule = &rule;
-    exec.lookups = &rule.full_plan.lookups;
-    exec.delta_modes = false;
-    exec.uniform_mode = Mode::kNew;
-    exec.stop_at_aggregate = true;
-    NERPA_RETURN_IF_ERROR(WithFrame(rule, [&]() -> Status {
-      return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-        Row group = CollectSlots(agg.group_slots);
-        Row binding = CollectSlots(agg.binding_slots);
-        NERPA_ASSIGN_OR_RETURN(Value arg, EvalExpr(*agg.agg_arg, frame_));
-        binding.push_back(std::move(arg));
-        ++collected[std::move(group)][std::move(binding)];
-        return Status::Ok();
-      });
-    }));
+    auto collect = [&]() -> Status {
+      Row group = CollectSlots(agg.group_slots);
+      Row binding = CollectSlots(agg.binding_slots);
+      NERPA_ASSIGN_OR_RETURN(Value arg, EvalExpr(*agg.agg_arg, frame_));
+      binding.push_back(std::move(arg));
+      ++collected[std::move(group)][std::move(binding)];
+      return Status::Ok();
+    };
+    NERPA_RETURN_IF_ERROR(
+        EvalFull(rule, /*stop_at_aggregate=*/true, collect));
     if (collected.empty()) return Status::Ok();
     AggState& state =
         e_.agg_states_[static_cast<size_t>(agg.agg_state_index)];
@@ -1811,114 +1501,44 @@ class Engine::Txn {
       if (rule.has_aggregate) {
         NERPA_RETURN_IF_ERROR(BootstrapAggRule(rule, emitted));
       } else {
-        NERPA_RETURN_IF_ERROR(BootstrapRule(rule, emitted));
+        // One full evaluation against the post-state of the lower strata.
+        NERPA_RETURN_IF_ERROR(
+            EvalFull(rule, /*stop_at_aggregate=*/false,
+                     [&] { return EmitBootstrapHead(rule, emitted); }));
       }
     }
     FoldBootstrapStratum(head_rel, emitted);
     return Status::Ok();
   }
 
-  /// Bootstrap recursion: plain semi-naive insertion from empty SCC state.
-  /// Rules without an SCC positive literal seed via full evaluation (they
-  /// read only already-folded externals); the worklist then drives rules
-  /// pinned on each inserted SCC tuple, exactly like the incremental
-  /// insertion phase.  No DRed pass — nothing can be deleted from empty.
+  /// Bootstrap recursion: semi-naive insertion from empty SCC state.
+  /// Rules without an SCC positive literal seed it with one full
+  /// evaluation (they read only already-folded externals).  No DRed pass —
+  /// nothing can be deleted from empty.
   Status BootstrapRecursive(const Stratum& stratum) {
-    std::unordered_map<int, SccWork> work;
-    for (int rel : stratum.relations) {
-      SccWork& w = work[rel];
-      w.inserted_index.resize(
-          program_.arrangements()[static_cast<size_t>(rel)].size());
-    }
-    auto in_scc = [&](int rel) { return work.count(rel) != 0; };
-
-    Overlay insert_overlay;
-    for (int rel : stratum.relations) {
-      RelOverlay ov;
-      ov.added = &work[rel].inserted;
-      ov.added_index = &work[rel].inserted_index;
-      insert_overlay[rel] = ov;
-    }
-    overlay_ = &insert_overlay;
-    std::vector<std::pair<int, Row>> insert_worklist;
-    auto insert_tuple = [&](int rel, const Row& row) {
-      SccWork& w = work[rel];
-      if (w.inserted.count(row) != 0) return;
-      w.inserted.insert(row);
-      const auto& specs = program_.arrangements()[static_cast<size_t>(rel)];
-      for (size_t a = 0; a < specs.size(); ++a) {
-        RowView key = ProjectInto(row, specs[a].key_positions, arr_key_buf_);
-        auto& index = w.inserted_index[a];
-        auto it = index.find(key);
-        if (it == index.end()) {
-          ++c_.key_rows_materialized;
-          it = index.emplace(MaterializeKey(key), std::vector<Row>{}).first;
-        }
-        it->second.push_back(row);
-      }
-      insert_worklist.emplace_back(rel, row);
-    };
-
-    auto finish = [&](Status status) {
-      overlay_ = nullptr;
-      return status;
-    };
-    for (int rule_index : stratum.rules) {
-      const CompiledRule& rule =
-          program_.rules()[static_cast<size_t>(rule_index)];
-      bool has_scc_positive = false;
-      for (const StepPlan& step : rule.steps) {
-        if (step.kind == BodyElem::Kind::kLiteral && !step.negated &&
-            in_scc(step.relation)) {
-          has_scc_positive = true;
-          break;
-        }
-      }
-      if (has_scc_positive) continue;  // fires only via the worklist
-      Exec exec;
-      exec.rule = &rule;
-      exec.lookups = &rule.full_plan.lookups;
-      exec.delta_modes = false;
-      exec.uniform_mode = Mode::kNew;
-      Status status = WithFrame(rule, [&]() -> Status {
-        return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-          NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-          insert_tuple(rule.head_relation, head);
-          return Status::Ok();
-        });
-      });
-      if (!status.ok()) return finish(status);
-    }
-    while (!insert_worklist.empty()) {
-      auto [rel, row] = std::move(insert_worklist.back());
-      insert_worklist.pop_back();
-      for (int rule_index : stratum.rules) {
-        const CompiledRule& rule =
-            program_.rules()[static_cast<size_t>(rule_index)];
-        for (const DeltaPlan& plan : rule.delta_plans) {
-          const StepPlan& pinned =
-              rule.steps[static_cast<size_t>(plan.pinned_step)];
-          if (pinned.relation != rel || pinned.negated) continue;
-          Exec exec;
-          exec.rule = &rule;
-          exec.lookups = &plan.lookups;
-          exec.skip_step = plan.pinned_step;
-          exec.delta_modes = false;
-          exec.uniform_mode = Mode::kNew;
-          Status status = WithFrame(rule, [&]() -> Status {
-            std::vector<int> trail;
-            if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
-            return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
+    SccWorkMap work = NewSccWork(stratum);
+    NERPA_RETURN_IF_ERROR(InsertSemiNaive(
+        stratum, work, [&](auto& insert) -> Status {
+          for (int rule_index : stratum.rules) {
+            const CompiledRule& rule =
+                program_.rules()[static_cast<size_t>(rule_index)];
+            bool has_scc_positive = false;
+            for (const StepPlan& step : rule.steps) {
+              has_scc_positive |= step.kind == BodyElem::Kind::kLiteral &&
+                                  !step.negated &&
+                                  work.count(step.relation) != 0;
+            }
+            if (has_scc_positive) continue;  // fires only via the worklist
+            auto emit = [&]() -> Status {
               NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-              insert_tuple(rule.head_relation, head);
+              insert(rule.head_relation, head);
               return Status::Ok();
-            });
-          });
-          if (!status.ok()) return finish(status);
-        }
-      }
-    }
-    overlay_ = nullptr;
+            };
+            NERPA_RETURN_IF_ERROR(
+                EvalFull(rule, /*stop_at_aggregate=*/false, emit));
+          }
+          return Status::Ok();
+        }));
 
     for (int rel : stratum.relations) {
       SccWork& w = work[rel];
@@ -1932,12 +1552,6 @@ class Engine::Txn {
       FoldBootstrapStratum(rel, emitted);
     }
     return Status::Ok();
-  }
-
-  TxnDelta CollectBootstrapOutputs() {
-    TxnDelta out = std::move(bootstrap_delta_);
-    bootstrap_delta_ = TxnDelta{};
-    return out;
   }
 
   /// Bootstrap rollback: the pre-transaction state was empty, so undoing
@@ -2005,7 +1619,6 @@ class Engine::Txn {
 
   Engine& e_;
   const Program& program_;
-  bool is_init_ = false;
   const Overlay* overlay_ = nullptr;
   std::vector<Value> frame_;
   std::vector<char> bound_;
@@ -2038,22 +1651,6 @@ class Engine::Txn {
   std::vector<Row> bootstrap_emit_;    // bootstrap head-row accumulator
   TxnDelta bootstrap_delta_;           // bootstrap output deltas (pre-sorted
                                        // by the stratum fold)
-
-  /// Transaction-local hot-path counters (merged via FlushCounters()).
-  struct Counters {
-    uint64_t rule_firings = 0;
-    uint64_t probes = 0;
-    uint64_t probe_hits = 0;
-    uint64_t scans = 0;
-    uint64_t key_rows_materialized = 0;
-    uint64_t key_allocs_saved = 0;
-  };
-  Counters c_;
-
-  // Small-commit input scratch: per-relation net deltas, reused across
-  // commits so the fast path performs no map/node allocations.
-  std::vector<std::pair<int, std::vector<std::pair<Row, int>>>>
-      small_input_scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -2086,7 +1683,7 @@ void Engine::InitRuntime() {
 Engine::Engine(std::shared_ptr<const Program> program, EngineOptions options)
     : program_(std::move(program)), options_(options) {
   InitRuntime();
-  Result<TxnDelta> result = txn_->Run(/*is_init=*/true);
+  Result<TxnDelta> result = txn_->Run();
   if (result.ok()) {
     initial_delta_ = std::move(result).value();
   } else {
@@ -2136,7 +1733,7 @@ Status Engine::Delete(std::string_view relation, Row row) {
 
 Engine::~Engine() = default;
 
-Result<TxnDelta> Engine::Commit() { return txn_->Run(/*is_init=*/false); }
+Result<TxnDelta> Engine::Commit() { return txn_->Run(); }
 
 TxnDelta Engine::TakeInitialDelta() {
   TxnDelta out = std::move(initial_delta_);
@@ -2167,6 +1764,20 @@ namespace {
 constexpr char kCheckpointMagic[4] = {'N', 'D', 'C', 'K'};
 constexpr uint32_t kCheckpointVersion = 1;
 constexpr int kMaxValueDepth = 64;
+/// No evaluation reaches 2^48 derivations of one row; a larger count is
+/// damage, and the next fold could overflow it.
+constexpr int64_t kMaxCount = int64_t{1} << 48;
+
+bool ValidCount(int64_t count) { return count > 0 && count <= kMaxCount; }
+
+/// Does `row` hold one value of each of `types`, in order?
+bool RowHasTypes(const Row& row, const std::vector<Type>& types) {
+  if (row.size() != types.size()) return false;
+  for (size_t i = 0; i < types.size(); ++i) {
+    if (!types[i].CheckValue(row[i]).ok()) return false;
+  }
+  return true;
+}
 
 void PutU32(std::string& out, uint32_t v) {
   char buf[4];
@@ -2299,9 +1910,9 @@ struct BlobReader {
 
 uint64_t Engine::StateFingerprint() const {
   // Canonical program text pins rules, relations, and column types; the
-  // format version pins the blob layout.  Options that only shape derived
-  // indexes (use_arrangements, thread counts) are excluded — Restore()
-  // rebuilds those per its own options.
+  // format version pins the blob layout.  use_arrangements only shapes
+  // derived indexes, so it is excluded — Restore() rebuilds those per its
+  // own options.
   uint64_t h = Fnv1a(program_->ast().ToString());
   return Fnv1a(&kCheckpointVersion, sizeof(kCheckpointVersion), h);
 }
@@ -2376,24 +1987,37 @@ Result<std::unique_ptr<Engine>> Engine::Restore(
     for (uint64_t i = 0; i < nrows; ++i) {
       Row row;
       if (!r.ReadRow(row)) return corrupt("truncated row");
-      if (row.size() != decl.columns.size()) {
-        return corrupt("row arity mismatch");
-      }
+      if (!decl.CheckRow(row).ok()) return corrupt("row type mismatch");
       int64_t count = static_cast<int64_t>(r.U64());
-      if (!r.ok || count <= 0) return corrupt("bad derivation count");
+      if (!r.ok || !ValidCount(count)) {
+        return corrupt("bad derivation count");
+      }
       counts.emplace(std::move(row), count);
     }
   }
   if (r.U32() != engine->agg_states_.size()) {
     return corrupt("aggregate state count mismatch");
   }
-  for (AggState& agg : engine->agg_states_) {
+  // Group keys and binding rows must have the shape and types the planner
+  // gives them: the fingerprint covers the program text, not the plan.
+  std::vector<const StepPlan*> agg_steps(engine->agg_states_.size());
+  for (const CompiledRule& rule : engine->program_->rules()) {
+    if (!rule.has_aggregate) continue;
+    const StepPlan& step =
+        rule.steps[static_cast<size_t>(rule.aggregate_step)];
+    agg_steps[static_cast<size_t>(step.agg_state_index)] = &step;
+  }
+  for (size_t a = 0; a < engine->agg_states_.size(); ++a) {
+    AggState& agg = engine->agg_states_[a];
     uint64_t ngroups = r.U64();
     if (!r.Need(ngroups)) return corrupt("truncated aggregate state");
     agg.groups.reserve(ngroups);
     for (uint64_t g = 0; g < ngroups; ++g) {
       Row group;
       if (!r.ReadRow(group)) return corrupt("truncated group key");
+      if (!RowHasTypes(group, agg_steps[a]->group_types)) {
+        return corrupt("group key does not fit aggregate");
+      }
       ZSet& bindings = agg.groups[std::move(group)];
       uint64_t nbindings = r.U64();
       if (!r.Need(nbindings)) return corrupt("truncated group");
@@ -2401,8 +2025,13 @@ Result<std::unique_ptr<Engine>> Engine::Restore(
       for (uint64_t b = 0; b < nbindings; ++b) {
         Row binding;
         if (!r.ReadRow(binding)) return corrupt("truncated binding");
+        if (!RowHasTypes(binding, agg_steps[a]->binding_types)) {
+          return corrupt("binding does not fit aggregate");
+        }
         int64_t count = static_cast<int64_t>(r.U64());
-        if (!r.ok || count <= 0) return corrupt("bad binding count");
+        if (!r.ok || !ValidCount(count)) {
+          return corrupt("bad binding count");
+        }
         bindings[std::move(binding)] = count;
       }
     }
@@ -2414,7 +2043,6 @@ Result<std::unique_ptr<Engine>> Engine::Restore(
       engine->txn_->BuildArrangements(static_cast<int>(rel));
     }
   }
-  engine->txn_->FlushCounters();
   return engine;
 }
 

@@ -21,6 +21,10 @@
 //   * Incremental group-by aggregation with persistent per-group state.
 //   * Recursion by semi-naive insertion plus DRed (delete-and-rederive)
 //     for deletions, with set semantics inside recursive strata.
+//   * Bootstrap: a commit into a completely empty engine (cold start, and
+//     the fact rules at construction) runs one full evaluation per rule
+//     instead of the delta expansion, with no undo log and bulk-built
+//     arrangements.  Its results are byte-identical (differential-tested).
 #ifndef NERPA_DLOG_ENGINE_H_
 #define NERPA_DLOG_ENGINE_H_
 
@@ -33,7 +37,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "dlog/arena.h"
 #include "dlog/program.h"
 
@@ -42,7 +45,7 @@ namespace nerpa::dlog {
 /// Weighted tuple collection (row -> weight / derivation count).  Nodes
 /// come from the thread-pooled slab arena (dlog/arena.h): delta passes
 /// build and drop these maps constantly, and per-node malloc round trips
-/// were the measurable constant factor on the small-commit hot path.
+/// were the measurable constant factor on the per-commit hot path.
 using ZSet =
     std::unordered_map<Row, int64_t, RowHash, RowEq,
                        arena::NodePoolAllocator<std::pair<const Row, int64_t>>>;
@@ -67,24 +70,6 @@ struct EngineOptions {
   /// ablation bench quantifies.  Programs with negation are rejected in
   /// this mode (incremental antijoin needs arrangement presence flips).
   bool use_arrangements = true;
-
-  /// Bootstrap fast path: a transaction against a completely empty engine
-  /// (the cold-start case §2.2 concedes) is evaluated as one full
-  /// evaluation per rule instead of the delta-rule expansion — no undo
-  /// logging, no per-row set-delta bookkeeping, bulk-built arrangements —
-  /// and large join passes fan out across a thread pool.  Results are
-  /// byte-identical to the incremental path (differential-tested).
-  bool enable_bootstrap = true;
-  /// Worker threads for the parallel bootstrap; 0 = hardware concurrency
-  /// (capped), 1 = serial bootstrap evaluation.
-  size_t bootstrap_threads = 0;
-  /// Minimum pinned-relation rows before a rule's join pass fans out.
-  size_t parallel_bootstrap_min_rows = 4096;
-
-  /// Small-commit fast path: transactions with at most this many queued
-  /// input ops skip the map-based input netting (linear scans over the
-  /// batch instead — no node allocations on the per-commit hot path).
-  size_t small_commit_ops = 64;
 };
 
 class Engine {
@@ -128,13 +113,15 @@ class Engine {
   /// byte-identical to the one that produced the blob (same Dump() output,
   /// same deltas for subsequent commits); its initial delta is empty.
   /// Fails (so callers fall back to recomputing) on any mismatch or
-  /// truncation.
+  /// truncation, and on state the engine could not evaluate: rows that do
+  /// not fit their relation's column types, aggregate group keys and
+  /// bindings that do not fit the planned aggregate, or impossible counts.
   static Result<std::unique_ptr<Engine>> Restore(
       std::shared_ptr<const Program> program, std::string_view blob,
       EngineOptions options = {});
 
   /// Fingerprint binding a checkpoint to the program that produced it:
-  /// hashes the program's canonical text plus state-affecting options.
+  /// hashes the program's canonical text and the blob format version.
   uint64_t StateFingerprint() const;
 
   // --- Introspection (between transactions) ---
@@ -208,20 +195,15 @@ class Engine {
   std::vector<AggState> agg_states_;
   std::vector<std::tuple<int, Row, int>> pending_;  // (relation, row, +-1)
   TxnDelta initial_delta_;
+  // Cumulative counters (see Stats); the transaction processor bumps them
+  // as it works.
   uint64_t rule_firings_ = 0;
   uint64_t transactions_ = 0;
-  // Hot-path counters, cumulative (see Stats).  Transactions accumulate
-  // into transaction-local counters and merge here at commit end, so the
-  // parallel bootstrap workers never contend on (or race over) these.
   uint64_t probes_ = 0;
   uint64_t probe_hits_ = 0;
   uint64_t scans_ = 0;
   uint64_t key_rows_materialized_ = 0;
   uint64_t key_allocs_saved_ = 0;
-
-  // Parallel-bootstrap machinery, created lazily on the first fan-out.
-  std::unique_ptr<nerpa::ThreadPool> bootstrap_pool_;
-  std::vector<std::unique_ptr<Txn>> bootstrap_workers_;
 };
 
 }  // namespace nerpa::dlog

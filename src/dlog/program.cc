@@ -509,11 +509,19 @@ class Compiler {
                                          "' is unbound");
             }
             step.group_slots.push_back(it->second.slot);
+            step.group_types.push_back(it->second.type);
           }
-          for (const auto& [name, info] : env) {
-            step.binding_slots.push_back(info.slot);
+          std::vector<const VarInfo*> bound;
+          for (const auto& [name, info] : env) bound.push_back(&info);
+          std::sort(bound.begin(), bound.end(),
+                    [](const VarInfo* a, const VarInfo* b) {
+                      return a->slot < b->slot;
+                    });
+          for (const VarInfo* info : bound) {
+            step.binding_slots.push_back(info->slot);
+            step.binding_types.push_back(info->type);
           }
-          std::sort(step.binding_slots.begin(), step.binding_slots.end());
+          step.binding_types.push_back(arg_type);
           step.result_type = elem.agg_func == AggFunc::kCount
                                  ? Type::Int()
                                  : arg_type;

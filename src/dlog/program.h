@@ -68,6 +68,10 @@ struct StepPlan {
   std::vector<int> group_slots;    // frame slots of the group-by variables
   std::vector<int> binding_slots;  // all bound slots at the aggregate (the
                                    // distinct-assignment key), group first
+  // Value types of a group key (one per group slot) and of a binding row
+  // (one per binding slot, then the argument's): checkpoint validation.
+  std::vector<Type> group_types;
+  std::vector<Type> binding_types;
   int result_slot = -1;
   Type result_type;
   int agg_state_index = -1;        // engine-side persistent group state

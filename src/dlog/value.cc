@@ -94,9 +94,9 @@ struct TupleNodeEq {
 };
 
 /// The process-wide hash-consing pool.  Nodes are owned by deques (stable
-/// addresses) and never evicted; with interning enabled, a dedup set makes
-/// repeated payloads share one node.  Heap-allocated and intentionally
-/// leaked so Values in static-storage objects stay valid at shutdown.
+/// addresses) and never evicted; a dedup set makes repeated payloads share
+/// one node.  Heap-allocated and intentionally leaked so Values in
+/// static-storage objects stay valid at shutdown.
 class Pool {
  public:
   static Pool& Instance() {
@@ -107,47 +107,34 @@ class Pool {
   const InternedString* String(std::string&& text) {
     size_t hash = HashStringContent(text);
     std::lock_guard<std::mutex> lock(string_mu_);
-    if (enabled_.load(std::memory_order_relaxed)) {
-      auto it = string_dedup_.find(StringKeyView{text, hash});
-      if (it != string_dedup_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return *it;
-      }
+    auto it = string_dedup_.find(StringKeyView{text, hash});
+    if (it != string_dedup_.end()) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return *it;
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     string_bytes_ += text.size();
     const InternedString* node =
         &string_storage_.emplace_back(InternedString{std::move(text), hash});
-    if (enabled_.load(std::memory_order_relaxed)) string_dedup_.insert(node);
+    string_dedup_.insert(node);
     return node;
   }
 
   const InternedTuple* Tuple(ValueVec&& elems) {
     size_t hash = HashTupleContent(elems.data(), elems.size());
     std::lock_guard<std::mutex> lock(tuple_mu_);
-    if (enabled_.load(std::memory_order_relaxed)) {
-      auto it =
-          tuple_dedup_.find(TupleKeyView{elems.data(), elems.size(), hash});
-      if (it != tuple_dedup_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return *it;
-      }
+    auto it = tuple_dedup_.find(TupleKeyView{elems.data(), elems.size(), hash});
+    if (it != tuple_dedup_.end()) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return *it;
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     tuple_bytes_ += elems.size() * sizeof(Value);
     const InternedTuple* node =
         &tuple_storage_.emplace_back(InternedTuple{std::move(elems), hash});
-    if (enabled_.load(std::memory_order_relaxed)) tuple_dedup_.insert(node);
+    tuple_dedup_.insert(node);
     return node;
   }
-
-  void SetEnabled(bool enabled) {
-    // Taking both locks serializes against in-flight interning; the dedup
-    // sets are kept, so re-enabling resumes sharing with prior nodes.
-    std::scoped_lock lock(string_mu_, tuple_mu_);
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool Enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   InternPoolStats Stats() {
     std::scoped_lock lock(string_mu_, tuple_mu_);
@@ -174,15 +161,12 @@ class Pool {
       tuple_dedup_;
   size_t tuple_bytes_ = 0;
 
-  std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace
 
-void SetValueInterning(bool enabled) { Pool::Instance().SetEnabled(enabled); }
-bool ValueInterningEnabled() { return Pool::Instance().Enabled(); }
 InternPoolStats GetInternPoolStats() { return Pool::Instance().Stats(); }
 
 Value Value::String(std::string v) {
@@ -191,17 +175,6 @@ Value Value::String(std::string v) {
 
 Value Value::Tuple(ValueVec elems) {
   return Value(Tag::kTuple, Pool::Instance().Tuple(std::move(elems)));
-}
-
-bool Value::StringEqualSlow(const Value& o) const {
-  if (str_->hash != o.str_->hash) return false;
-  return str_->text == o.str_->text;
-}
-
-bool Value::TupleEqualSlow(const Value& o) const {
-  if (tup_->hash != o.tup_->hash) return false;
-  return TupleNodeEq::Equal(tup_->elems, o.tup_->elems.data(),
-                            o.tup_->elems.size());
 }
 
 namespace {

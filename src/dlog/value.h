@@ -3,8 +3,8 @@
 // DDlog's value universe (booleans, integers, bit-vectors, strings, and
 // structured data) is mirrored here.  Strings and tuples are hash-consed
 // into a process-wide intern pool, so a Value is a 16-byte tagged word:
-// copies are trivial, equality is (almost always) a pointer compare, and
-// the hash of any payload is computed once at intern time.  Rows memoize
+// copies are trivial, equality is a pointer compare, and the hash of any
+// payload is computed once at intern time.  Rows memoize
 // their hash so arrangement probes never re-walk payloads.
 #ifndef NERPA_DLOG_VALUE_H_
 #define NERPA_DLOG_VALUE_H_
@@ -59,15 +59,6 @@ inline uint64_t MixBits(uint64_t x) {
 }
 
 }  // namespace internal
-
-/// Ablation/testing switch: when disabled, String()/Tuple() still allocate
-/// pool-owned nodes with cached hashes but skip deduplication, so every
-/// construction yields a distinct node (the pre-interning allocation
-/// behaviour).  Values built under either mode compare and hash
-/// identically — equality falls back to content comparison when the node
-/// pointers differ.  Thread-safe; affects subsequently created values only.
-void SetValueInterning(bool enabled);
-bool ValueInterningEnabled();
 
 /// Intern pool introspection (sizes feed Engine::Stats and the benches).
 struct InternPoolStats {
@@ -131,12 +122,10 @@ class Value {
     if (tag_ != o.tag_) return false;
     switch (tag_) {
       case Tag::kString:
-        // Interned: equal strings share one node, so this is a pointer
-        // compare.  The deep fallback keeps mixed interned/uninterned
-        // values correct.
-        return str_ == o.str_ || StringEqualSlow(o);
+        // Interned: equal payloads share one node.
+        return str_ == o.str_;
       case Tag::kTuple:
-        return tup_ == o.tup_ || TupleEqualSlow(o);
+        return tup_ == o.tup_;
       default:
         return bits_ == o.bits_;
     }
@@ -168,8 +157,6 @@ class Value {
  private:
   enum class Tag : uint8_t { kBool = 0, kInt, kBit, kString, kTuple };
 
-  bool StringEqualSlow(const Value& o) const;
-  bool TupleEqualSlow(const Value& o) const;
   int ComparePayloadSlow(const Value& o) const;
 
   Value(Tag tag, uint64_t bits) : tag_(tag), bits_(bits) {}
@@ -256,7 +243,7 @@ class Row {
   }
 
   /// Memoized content hash (computed on first use, invalidated by
-  /// mutation).  Equal rows hash equal regardless of interning mode.
+  /// mutation).
   size_t Hash() const {
     if (hash_ == 0) hash_ = HashValueRange(data_, size_);
     return hash_;

@@ -1,10 +1,15 @@
 // Differential and hot-path regression tests for the dlog engine:
 //
-//   * the interning and arrangement ablation switches must not change any
-//     observable result — every configuration produces byte-identical
-//     output deltas for the same transaction stream;
-//   * the intern pool must preserve value equality/hashing across modes
-//     (the transparent-lookup contract probe-free joins rely on);
+//   * seeded random commit streams must match from-scratch evaluation
+//     after every commit, and the bootstrap and incremental paths must
+//     produce byte-identical deltas for the same bulk load;
+//   * the arrangement ablation switch must not change any observable
+//     result — both settings produce byte-identical output deltas for the
+//     same transaction stream;
+//   * a checkpoint-restored engine behaves exactly like its original, and
+//     Restore() rejects blobs it could not evaluate;
+//   * the intern pool must keep value equality/hashing content-based (the
+//     transparent-lookup contract probe-free joins rely on);
 //   * a failed Commit() (division by zero mid-rule) must roll back every
 //     partial effect — derivation counts, arrangements, aggregation state
 //     — leaving the engine exactly as before the failed transaction.
@@ -14,8 +19,10 @@
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/strings.h"
 #include "dlog/engine.h"
 
 namespace nerpa::dlog {
@@ -31,14 +38,152 @@ std::shared_ptr<const Program> MustParse(const char* source) {
   return *program;
 }
 
-/// Restores process-wide interning on scope exit (tests toggle it).
-struct InterningGuard {
-  ~InterningGuard() { SetValueInterning(true); }
-};
+/// Dump of every relation, stringified, for whole-state comparison.
+std::string DumpAll(const Engine& engine) {
+  std::string out;
+  for (const auto& decl : engine.program().relations()) {
+    auto rows = engine.Dump(decl.name);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    out += decl.name + ":\n";
+    for (const Row& row : *rows) out += "  " + RowToString(row) + "\n";
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------------
-// Differential property: interning {on, off} x arrangements {on, off}
-// produce byte-identical deltas for the same transaction stream.
+// Randomized oracle: after every commit of a seeded insert/delete stream,
+// the live engine must equal from-scratch evaluation of its current inputs.
+// From scratch is a fresh engine that loads them in one commit (the
+// bootstrap path); its delta must in turn be byte-identical to the same
+// bulk load into an engine that already holds a row of `Pad`, an input no
+// rule reads, so that load runs the incremental path.
+// ---------------------------------------------------------------------------
+
+// Negation inside a recursive stratum, including a negated literal that
+// repeats a variable, plus negation over the recursive relation above it.
+constexpr const char* kNegationRecursionProgram = R"(
+input relation E(a: bigint, b: bigint)
+input relation B(a: bigint, b: bigint)
+input relation Pad(x: bigint)
+output relation R(a: bigint, b: bigint)
+output relation Lone(a: bigint)
+R(a, b) :- E(a, b), not B(a, a).
+R(a, c) :- R(a, b), E(b, c), not B(b, c).
+Lone(a) :- E(a, _), not R(a, a).
+)";
+
+// sum/min aggregates over rows filtered by negation.
+constexpr const char* kAggregateNegationProgram = R"(
+input relation V(g: bigint, x: bigint)
+input relation B(a: bigint, b: bigint)
+input relation Pad(x: bigint)
+relation Live(g: bigint, x: bigint)
+output relation Total(g: bigint, s: bigint)
+output relation Least(g: bigint, m: bigint)
+Live(g, x) :- V(g, x), not B(x, x).
+Total(g, s) :- Live(g, x), var s = sum(x) group_by (g).
+Least(g, m) :- V(g, x), not B(g, _), var m = min(x) group_by (g).
+)";
+
+constexpr int kOracleSeeds = 20;
+constexpr int kOracleCommits = 60;
+constexpr uint64_t kOracleDomain = 6;
+
+/// Runs one seeded stream of commits over `relations` (each two bigint
+/// columns) and checks the oracle after every commit.  Returns an empty
+/// string, or a description of the first divergence.
+std::string RunOracleStream(const std::shared_ptr<const Program>& program,
+                            const std::vector<std::string>& relations,
+                            uint64_t seed) {
+  Engine live(program);
+  std::set<std::tuple<std::string, int64_t, int64_t>> inputs;
+  std::mt19937_64 rng(seed);
+  for (int commit = 0; commit < kOracleCommits; ++commit) {
+    std::string ops;
+    int count = 1 + static_cast<int>(rng() % 6);
+    for (int k = 0; k < count; ++k) {
+      const std::string& rel = relations[rng() % relations.size()];
+      int64_t a = static_cast<int64_t>(rng() % kOracleDomain);
+      int64_t b = static_cast<int64_t>(rng() % kOracleDomain);
+      bool insert = rng() % 2 == 0;
+      Status status = insert ? live.Insert(rel, R({I(a), I(b)}))
+                             : live.Delete(rel, R({I(a), I(b)}));
+      if (!status.ok()) return status.ToString();
+      if (insert) {
+        inputs.emplace(rel, a, b);
+      } else {
+        inputs.erase({rel, a, b});
+      }
+      ops += StrFormat(" %s%s(%lld,%lld)", insert ? "+" : "-", rel.c_str(),
+                       static_cast<long long>(a), static_cast<long long>(b));
+    }
+    auto live_delta = live.Commit();
+    if (!live_delta.ok()) return live_delta.status().ToString();
+
+    Engine fresh(program);
+    Engine padded(program);
+    if (!padded.Insert("Pad", R({I(0)})).ok() || !padded.Commit().ok()) {
+      return "padded engine setup failed";
+    }
+    for (const auto& [rel, a, b] : inputs) {
+      if (!fresh.Insert(rel, R({I(a), I(b)})).ok() ||
+          !padded.Insert(rel, R({I(a), I(b)})).ok()) {
+        return "reference load failed";
+      }
+    }
+    // Retracting Pad in the same commit leaves both reference states whole
+    // and comparable.
+    if (!padded.Delete("Pad", R({I(0)})).ok()) return "Pad delete failed";
+    auto fresh_delta = fresh.Commit();
+    auto padded_delta = padded.Commit();
+    if (!fresh_delta.ok() || !padded_delta.ok()) {
+      return "reference commit failed";
+    }
+
+    std::string where = StrFormat("commit %d (ops:%s)", commit, ops.c_str());
+    if (DumpAll(live) != DumpAll(fresh)) {
+      return where + ": live engine\n" + DumpAll(live) +
+             "from scratch\n" + DumpAll(fresh);
+    }
+    if (fresh_delta->ToString() != padded_delta->ToString()) {
+      return where + ": bootstrap delta\n" + fresh_delta->ToString() +
+             "incremental bulk delta\n" + padded_delta->ToString();
+    }
+    if (DumpAll(padded) != DumpAll(fresh)) {
+      return where + ": incremental bulk load state diverged";
+    }
+  }
+  return "";
+}
+
+void ExpectStreamsMatchOracle(const char* source,
+                              const std::vector<std::string>& relations) {
+  auto program = MustParse(source);
+  int diverged = 0;
+  std::string first;
+  for (uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
+    std::string failure = RunOracleStream(program, relations, seed);
+    if (failure.empty()) continue;
+    if (diverged++ == 0) {
+      first = StrFormat("seed %llu, ", static_cast<unsigned long long>(seed)) +
+              failure;
+    }
+  }
+  EXPECT_EQ(diverged, 0) << diverged << " of " << kOracleSeeds
+                         << " streams diverged; first: " << first;
+}
+
+TEST(DlogOracle, NegationRecursionStreamsMatchFromScratch) {
+  ExpectStreamsMatchOracle(kNegationRecursionProgram, {"E", "B"});
+}
+
+TEST(DlogOracle, AggregateNegationStreamsMatchFromScratch) {
+  ExpectStreamsMatchOracle(kAggregateNegationProgram, {"V", "B"});
+}
+
+// ---------------------------------------------------------------------------
+// Differential property: arrangements {on, off} produce byte-identical
+// deltas for the same transaction stream.
 // ---------------------------------------------------------------------------
 
 // Join + aggregation, string and integer columns.  (No negation: the
@@ -54,8 +199,7 @@ PairUp(s, a, b) :- Port(s, a, v), Trunk(s, b).
 VlanCount(s, n) :- Port(s, p, v), var n = count(p) group_by (s).
 )";
 
-/// One abstract input operation, materialized into a Row per engine so
-/// each configuration constructs its values under its own interning mode.
+/// One abstract input operation, materialized into a Row per engine.
 struct Op {
   std::string relation;
   std::string sw;
@@ -70,21 +214,14 @@ Row MaterializeRow(const Op& op) {
   return row;
 }
 
-TEST(DlogDifferential, InterningAndArrangementsDoNotChangeDeltas) {
-  InterningGuard guard;
-  struct Config {
-    bool intern;
-    bool arrange;
-  };
-  const Config configs[] = {
-      {true, true}, {true, false}, {false, true}, {false, false}};
+TEST(DlogDifferential, ArrangementsDoNotChangeDeltas) {
+  const bool configs[] = {true, false};  // use_arrangements
 
   auto program = MustParse(kDifferentialProgram);
   std::vector<std::unique_ptr<Engine>> engines;
-  for (const Config& config : configs) {
-    SetValueInterning(config.intern);
+  for (bool arrange : configs) {
     EngineOptions options;
-    options.use_arrangements = config.arrange;
+    options.use_arrangements = arrange;
     engines.push_back(std::make_unique<Engine>(program, options));
   }
 
@@ -124,7 +261,6 @@ TEST(DlogDifferential, InterningAndArrangementsDoNotChangeDeltas) {
 
     std::vector<std::string> deltas;
     for (size_t e = 0; e < engines.size(); ++e) {
-      SetValueInterning(configs[e].intern);
       for (const Op& op : ops) {
         Row row = MaterializeRow(op);
         Status status = op.insert
@@ -138,60 +274,32 @@ TEST(DlogDifferential, InterningAndArrangementsDoNotChangeDeltas) {
     }
     for (size_t e = 1; e < deltas.size(); ++e) {
       ASSERT_EQ(deltas[0], deltas[e])
-          << "config " << e << " (intern=" << configs[e].intern
-          << ", arrange=" << configs[e].arrange
-          << ") diverged at step " << step;
+          << "arrange=" << configs[e] << " diverged at step " << step;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Differential property: the bootstrap fast path — serial or parallel —
-// must be byte-identical to the classic incremental first commit, both in
-// the returned delta and in all subsequent transactions.
+// Differential property: the bootstrap path must be byte-identical to the
+// incremental path for the same bulk load, both in the returned delta and
+// in all subsequent transactions.  The incremental reference holds a row
+// of `Pad`, an input no rule reads, so its engine is not empty and its
+// bulk load runs the incremental path; it retracts Pad in that same commit.
 // ---------------------------------------------------------------------------
 
-/// Dump of every relation, stringified, for whole-state comparison.
-std::string DumpAll(const Engine& engine) {
-  std::string out;
-  for (const auto& decl : engine.program().relations()) {
-    auto rows = engine.Dump(decl.name);
-    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
-    out += decl.name + ":\n";
-    for (const Row& row : *rows) out += "  " + RowToString(row) + "\n";
-  }
-  return out;
-}
-
-TEST(DlogDifferential, BootstrapSerialParallelAndIncrementalAgree) {
-  auto program = MustParse(kDifferentialProgram);
-  struct Config {
-    const char* name;
-    EngineOptions options;
-  };
-  std::vector<Config> configs;
-  {
-    Config classic{"classic-incremental", {}};
-    classic.options.enable_bootstrap = false;
-    configs.push_back(classic);
-    Config serial{"bootstrap-serial", {}};
-    serial.options.bootstrap_threads = 1;
-    configs.push_back(serial);
-    // The CI box may have one core, so the parallel path needs an explicit
-    // thread count and a low row threshold to actually engage.
-    Config parallel{"bootstrap-parallel", {}};
-    parallel.options.bootstrap_threads = 4;
-    parallel.options.parallel_bootstrap_min_rows = 1;
-    configs.push_back(parallel);
-  }
-
+TEST(DlogDifferential, BootstrapAndIncrementalAgree) {
+  auto program = MustParse(
+      (std::string(kDifferentialProgram) + "input relation Pad(x: bigint)\n")
+          .c_str());
+  const char* const names[] = {"incremental", "bootstrap"};
   std::vector<std::unique_ptr<Engine>> engines;
-  for (const Config& config : configs) {
-    engines.push_back(std::make_unique<Engine>(program, config.options));
-  }
+  engines.push_back(std::make_unique<Engine>(program));
+  engines.push_back(std::make_unique<Engine>(program));
+  ASSERT_TRUE(engines[0]->Insert("Pad", R({I(0)})).ok());
+  ASSERT_TRUE(engines[0]->Commit().ok());
+  ASSERT_TRUE(engines[0]->Delete("Pad", R({I(0)})).ok());
 
-  // Big-bang initial load: several hundred rows so the parallel fan-out
-  // has real shards to work with.
+  // Big-bang initial load: several hundred rows.
   std::mt19937_64 rng(20260808);
   std::vector<Op> initial;
   for (int k = 0; k < 600; ++k) {
@@ -218,15 +326,14 @@ TEST(DlogDifferential, BootstrapSerialParallelAndIncrementalAgree) {
     deltas.push_back(delta->ToString());
   }
   for (size_t e = 1; e < deltas.size(); ++e) {
-    ASSERT_EQ(deltas[0], deltas[e])
-        << configs[e].name << " bootstrap delta diverged";
+    ASSERT_EQ(deltas[0], deltas[e]) << names[e] << " bulk-load delta diverged";
   }
   for (size_t e = 1; e < engines.size(); ++e) {
     ASSERT_EQ(DumpAll(*engines[0]), DumpAll(*engines[e]))
-        << configs[e].name << " state diverged after bootstrap";
+        << names[e] << " state diverged after the bulk load";
   }
 
-  // The bootstrapped engines must behave identically incrementally too:
+  // Both engines must behave identically incrementally too:
   // mixed inserts/deletes over rows that do and do not exist.
   for (int step = 0; step < 10; ++step) {
     std::vector<Op> ops;
@@ -257,7 +364,7 @@ TEST(DlogDifferential, BootstrapSerialParallelAndIncrementalAgree) {
     }
     for (size_t e = 1; e < deltas.size(); ++e) {
       ASSERT_EQ(deltas[0], deltas[e])
-          << configs[e].name << " diverged at incremental step " << step;
+          << names[e] << " diverged at incremental step " << step;
     }
   }
 }
@@ -355,13 +462,99 @@ TEST(DlogDifferential, CheckpointRestoreIsByteIdentical) {
   EXPECT_FALSE(Engine::Restore(program, other_engine.SerializeState()).ok());
 }
 
+// Hand-encoding for checkpoint blobs, in the layout engine.cc documents.
+void PutU32(std::string& out, uint32_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+void PutU64(std::string& out, uint64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+/// One encoded row of bigint (tag 2) and string (tag 4) values.
+std::string EncodeRow(std::initializer_list<Value> values) {
+  std::string out;
+  PutU32(out, static_cast<uint32_t>(values.size()));
+  for (const Value& v : values) {
+    if (v.is_string()) {
+      out.push_back(4);
+      PutU32(out, static_cast<uint32_t>(v.as_string().size()));
+      out += v.as_string();
+    } else {
+      out.push_back(2);
+      PutU64(out, static_cast<uint64_t>(v.as_int()));
+    }
+  }
+  return out;
+}
+
+TEST(DlogDifferential, RestoreRejectsStateItCannotEvaluate) {
+  auto program = MustParse(R"(
+    input relation X(a: bigint, b: bigint)
+    output relation S(a: bigint, s: bigint)
+    S(a, s) :- X(a, b), var s = sum(b) group_by (a).
+  )");
+  Engine original(program);
+  ASSERT_TRUE(original.Insert("X", R({I(7), I(1)})).ok());
+  ASSERT_TRUE(original.Commit().ok());
+
+  // X's one row and its count, S's one row, then the sum's one group: its
+  // key and one binding row (the bound slots a, b, then the summed b).
+  auto build = [&](const std::string& x_row, uint64_t x_count,
+                   const std::string& group, const std::string& binding) {
+    std::string out("NDCK");
+    PutU32(out, 1);
+    PutU64(out, original.StateFingerprint());
+    PutU32(out, 2);
+    PutU32(out, 1);
+    out += "X";
+    PutU64(out, 1);
+    out += x_row;
+    PutU64(out, x_count);
+    PutU32(out, 1);
+    out += "S";
+    PutU64(out, 1);
+    out += EncodeRow({I(7), I(1)});
+    PutU64(out, 1);
+    PutU32(out, 1);
+    PutU64(out, 1);
+    out += group;
+    PutU64(out, 1);
+    out += binding;
+    PutU64(out, 1);
+    return out;
+  };
+  const std::string x_row = EncodeRow({I(7), I(1)});
+  const std::string group = EncodeRow({I(7)});
+  const std::string binding = EncodeRow({I(7), I(1), I(1)});
+  ASSERT_EQ(build(x_row, 1, group, binding), original.SerializeState());
+
+  struct Case {
+    const char* what;
+    std::string blob;
+  };
+  const Case cases[] = {
+      {"empty binding row", build(x_row, 1, group, EncodeRow({}))},
+      {"binding row one value short",
+       build(x_row, 1, group, EncodeRow({I(7), I(1)}))},
+      {"group key with two values",
+       build(x_row, 1, EncodeRow({I(7), I(7)}), binding)},
+      {"string group key", build(x_row, 1, EncodeRow({S("7")}), binding)},
+      {"string as the summed value",
+       build(x_row, 1, group, EncodeRow({I(7), I(1), S("1")}))},
+      {"string in a bigint column",
+       build(EncodeRow({I(7), S("1")}), 1, group, binding)},
+      {"impossible derivation count",
+       build(x_row, uint64_t{1} << 62, group, binding)},
+  };
+  for (const Case& c : cases) {
+    EXPECT_FALSE(Engine::Restore(program, c.blob).ok()) << c.what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Intern pool invariants.
 // ---------------------------------------------------------------------------
 
-TEST(InternPool, DeduplicatesWhenEnabled) {
-  InterningGuard guard;
-  SetValueInterning(true);
+TEST(InternPool, EqualPayloadsShareOneNode) {
   InternPoolStats before = GetInternPoolStats();
   Value first = Value::String("intern-dedup-probe-aa");
   InternPoolStats after_first = GetInternPoolStats();
@@ -373,46 +566,28 @@ TEST(InternPool, DeduplicatesWhenEnabled) {
   EXPECT_EQ(after_second.strings, after_first.strings);
   EXPECT_EQ(first, second);
   EXPECT_EQ(first.Hash(), second.Hash());
-}
-
-TEST(InternPool, DisabledModeStillComparesAndHashesEqual) {
-  InterningGuard guard;
-  SetValueInterning(true);
-  Value interned = Value::String("intern-mixed-mode-probe");
-  Value interned_tuple = Value::Tuple({I(1), S("intern-mixed-elem")});
-  SetValueInterning(false);
-  InternPoolStats before = GetInternPoolStats();
-  Value plain = Value::String("intern-mixed-mode-probe");
-  Value plain_tuple = Value::Tuple({I(1), S("intern-mixed-elem")});
-  InternPoolStats after = GetInternPoolStats();
-  // Disabled: every construction allocates (no dedup)...
-  EXPECT_GE(after.misses, before.misses + 2);
-  // ...but equality and hashing are mode-independent (deep fallback).
-  EXPECT_EQ(interned, plain);
-  EXPECT_EQ(interned.Hash(), plain.Hash());
-  EXPECT_EQ(interned_tuple, plain_tuple);
-  EXPECT_EQ(interned_tuple.Hash(), plain_tuple.Hash());
-  EXPECT_EQ(interned.Compare(plain), 0);
-  EXPECT_EQ(interned_tuple.Compare(plain_tuple), 0);
+  // Tuples too, including ones built from separately constructed elements.
+  Value tuple = Value::Tuple({I(1), S("intern-dedup-elem")});
+  Value again = Value::Tuple({I(1), S("intern-dedup-elem")});
+  EXPECT_EQ(tuple, again);
+  EXPECT_EQ(tuple.Hash(), again.Hash());
+  EXPECT_EQ(tuple.Compare(again), 0);
+  EXPECT_NE(tuple, Value::Tuple({I(2), S("intern-dedup-elem")}));
 }
 
 TEST(InternPool, RowHashMatchesValueRangeHash) {
   // The transparent-lookup contract: a Row and a borrowed span over the
-  // same values must hash identically and compare equal, in either
-  // interning mode (probe-free joins key arrangement maps this way).
-  InterningGuard guard;
-  for (bool intern : {true, false}) {
-    SetValueInterning(intern);
-    Row row{S("key-7"), I(42), Value::Bit(7), Value::Bool(true)};
-    std::vector<Value> values(row.begin(), row.end());
-    EXPECT_EQ(row.Hash(), HashValueRange(values.data(), values.size()));
-    RowHash hasher;
-    RowEq eq;
-    RowView view{values.data(), values.size()};
-    EXPECT_EQ(hasher(row), hasher(view));
-    EXPECT_TRUE(eq(row, view));
-    EXPECT_TRUE(eq(view, row));
-  }
+  // same values must hash identically and compare equal (probe-free joins
+  // key arrangement maps this way).
+  Row row{S("key-7"), I(42), Value::Bit(7), Value::Bool(true)};
+  std::vector<Value> values(row.begin(), row.end());
+  EXPECT_EQ(row.Hash(), HashValueRange(values.data(), values.size()));
+  RowHash hasher;
+  RowEq eq;
+  RowView view{values.data(), values.size()};
+  EXPECT_EQ(hasher(row), hasher(view));
+  EXPECT_TRUE(eq(row, view));
+  EXPECT_TRUE(eq(view, row));
 }
 
 TEST(InternPool, RowHashMemoizationSurvivesMutation) {

@@ -162,6 +162,80 @@ TEST(DlogEdge, RepeatedVariablePattern) {
   EXPECT_TRUE(engine.Contains("Diag", R({I(1)})));
 }
 
+TEST(DlogEdge, NegatedRepeatedVariableInRecursiveStratum) {
+  // Deleting B(1, 2) flips the key (1, 2) of `not B(a, a)` to absent, but
+  // no `a` binds both columns to different values, so nothing changes:
+  // B(2, 2) still forbids R(2, 5).
+  auto program = MustParse(R"(
+    input relation E(a: bigint, b: bigint)
+    input relation B(a: bigint, b: bigint)
+    output relation R(a: bigint, b: bigint)
+    R(a, b) :- E(a, b), not B(a, a).
+    R(a, c) :- R(a, b), E(b, c).
+  )");
+  Engine engine(program);
+  ASSERT_TRUE(engine.Insert("E", R({I(2), I(5)})).ok());
+  ASSERT_TRUE(engine.Insert("B", R({I(2), I(2)})).ok());
+  ASSERT_TRUE(engine.Insert("B", R({I(1), I(2)})).ok());
+  ASSERT_TRUE(engine.Commit().ok());
+  EXPECT_EQ(engine.Size("R"), 0u);
+
+  ASSERT_TRUE(engine.Delete("B", R({I(1), I(2)})).ok());
+  auto delta = engine.Commit();
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  EXPECT_TRUE(delta->empty()) << delta->ToString();
+  EXPECT_EQ(engine.Size("R"), 0u);
+}
+
+TEST(DlogEdge, ReinsertedOverdeletedTupleIsNotAChange) {
+  // Deleting E(3, 4) overdeletes R(3, 3), which no surviving tuple
+  // rederives; the new path 3 -> 5 -> 3 re-inserts it in the same commit.
+  // R(3, 3) was present before and after, so the delta must not list it.
+  auto program = MustParse(R"(
+    input relation E(a: bigint, b: bigint)
+    output relation R(a: bigint, b: bigint)
+    R(a, b) :- E(a, b).
+    R(a, c) :- R(a, b), E(b, c).
+  )");
+  Engine engine(program);
+  ASSERT_TRUE(engine.Insert("E", R({I(3), I(4)})).ok());
+  ASSERT_TRUE(engine.Insert("E", R({I(4), I(3)})).ok());
+  ASSERT_TRUE(engine.Commit().ok());
+  ASSERT_TRUE(engine.Contains("R", R({I(3), I(3)})));
+
+  ASSERT_TRUE(engine.Delete("E", R({I(3), I(4)})).ok());
+  ASSERT_TRUE(engine.Insert("E", R({I(3), I(5)})).ok());
+  ASSERT_TRUE(engine.Insert("E", R({I(5), I(3)})).ok());
+  auto delta = engine.Commit();
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  EXPECT_EQ(delta->ToString(),
+            "- R(3, 4)\n- R(4, 4)\n"
+            "+ R(3, 5)\n+ R(4, 5)\n+ R(5, 3)\n+ R(5, 5)\n");
+  EXPECT_TRUE(engine.Contains("R", R({I(3), I(3)})));
+}
+
+TEST(DlogEdge, SelfLoopUnderAffineRecursion) {
+  // The new self-loop E(1, 1) derives D(1, h + 1) from every D(1, h): the
+  // pass reading D's new rows under key 1 keeps deriving rows with that
+  // same key.  (The bucket being read used to grow under its own reader, a
+  // use-after-free the sanitizer builds catch.)
+  auto program = MustParse(R"(
+    input relation E(a: bigint, b: bigint)
+    output relation D(n: bigint, h: bigint)
+    D(1, 0).
+    D(1, 5).
+    D(b, h + 1) :- D(a, h), E(a, b), h < 10.
+  )");
+  Engine engine(program);
+  ASSERT_TRUE(engine.Insert("E", R({I(1), I(1)})).ok());
+  auto delta = engine.Commit();
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  EXPECT_EQ(delta->ToString(),
+            "+ D(1, 1)\n+ D(1, 2)\n+ D(1, 3)\n+ D(1, 4)\n+ D(1, 6)\n"
+            "+ D(1, 7)\n+ D(1, 8)\n+ D(1, 9)\n+ D(1, 10)\n");
+  EXPECT_EQ(engine.Size("D"), 11u);
+}
+
 TEST(DlogEdge, CascadeAcrossManyStrata) {
   // A 6-deep chain: one input insert must ripple all the way down.
   auto program = MustParse(R"(
