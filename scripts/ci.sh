@@ -117,6 +117,23 @@ for b in dlog_hotpath port_scaling incremental_vs_full lb_coldstart; do
     echo "bench_$b produced no BENCH_$b.json" >&2; exit 1; }
 done
 
+# The google-benchmark micro-benchmarks (E7) must run every case without
+# an error (e.g. a write case that overflows its table); the timings are
+# not gated.
+echo "--- bench_transactions --benchmark_min_time=0.05 (no case errors) ---"
+cmake --build build-ci-bench -j "$JOBS" --target bench_transactions
+build-ci-bench/bench/bench_transactions --benchmark_min_time=0.05 \
+  --benchmark_out=build-ci-bench/bench-out/BENCH_transactions.json \
+  --benchmark_out_format=json >/dev/null
+python3 - build-ci-bench/bench-out/BENCH_transactions.json <<'EOF'
+import json, sys
+runs = json.load(open(sys.argv[1]))["benchmarks"]
+failed = sorted({r["name"] for r in runs if r.get("error_occurred")})
+if not runs or failed:
+    sys.exit("bench_transactions: no runs" if not runs else
+             "bench_transactions errors in: " + ", ".join(failed))
+EOF
+
 # Gateway bench is also a perf gate: it compares sustained req/s against
 # the checked-in baseline floor and exits nonzero on a >30% regression.
 echo "--- bench_gateway --scale=0.1 (regression gate) ---"

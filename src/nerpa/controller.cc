@@ -584,25 +584,23 @@ void Controller::EscalateCooldownLocked(Device& device) {
   }
 }
 
-std::string Controller::OutboxKey(const DeviceOp& op) const {
-  if (op.multicast) return StrFormat("m:%u", op.group);
-  const p4::Table* schema = p4_program_->FindTable(op.entry.table);
-  std::string identity = schema != nullptr ? op.entry.KeyString(*schema)
-                                           : op.entry.ToString();
-  return "t:" + op.entry.table + "|" + identity;
-}
-
-bool Controller::QuarantineOps(Device& device, std::vector<DeviceOp> ops) {
+void Controller::QuarantineOps(Device& device,
+                               std::span<const DeviceOp> ops) {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  for (DeviceOp& op : ops) {
-    // Last-wins coalescing per entry identity / multicast group: however
-    // long the quarantine, the outbox never outgrows the device's table
-    // footprint.
-    device.outbox[OutboxKey(op)] = std::move(op);
+  for (const DeviceOp& op : ops) {
+    // One slot per entry identity / multicast group: however long the
+    // quarantine, the outbox never outgrows the device's table footprint.
+    // Every op came out of DlogRowToEntry, which checked its table exists.
+    if (op.multicast) {
+      device.outbox.emplace("", p4::MatchKey{op.group});
+    } else {
+      device.outbox.emplace(
+          op.entry.table,
+          p4::KeyOf(*p4_program_->FindTable(op.entry.table), op.entry));
+    }
     ++stats_.outbox_coalesced;
   }
   stats_.outbox_sizes[device.name] = device.outbox.size();
-  return true;
 }
 
 Status Controller::AppendEntryOps(std::vector<DeviceBatch>& batches,
@@ -638,9 +636,7 @@ Status Controller::ExecuteBatch(DeviceBatch& batch, const Deadline& deadline) {
       // sees the non-empty outbox and reconciles the device, exactly like
       // a sub-threshold write failure.
       size_t parked = batch.ops.size() - i;
-      QuarantineOps(device, {batch.ops.begin() +
-                                 static_cast<std::ptrdiff_t>(i),
-                             batch.ops.end()});
+      QuarantineOps(device, std::span(batch.ops).subspan(i));
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.deadline_parks += parked;
       return Status::Ok();
@@ -661,9 +657,7 @@ Status Controller::ExecuteBatch(DeviceBatch& batch, const Deadline& deadline) {
         // Quarantined device: absorb the rest of the batch into the
         // outbox without touching the (dead) device, and report success —
         // the delta must not fail because one switch is down.
-        QuarantineOps(device, {batch.ops.begin() +
-                                   static_cast<std::ptrdiff_t>(i),
-                               batch.ops.end()});
+        QuarantineOps(device, std::span(batch.ops).subspan(i));
         return Status::Ok();
       }
     }
@@ -695,9 +689,7 @@ Status Controller::ExecuteBatch(DeviceBatch& batch, const Deadline& deadline) {
         // and reconciles the device.  Without the second arm a sub-threshold
         // failure would drop the delta forever — a later healthy write
         // clears the strikes and nothing ever repairs the gap.
-        QuarantineOps(device, {batch.ops.begin() +
-                                   static_cast<std::ptrdiff_t>(i),
-                               batch.ops.end()});
+        QuarantineOps(device, std::span(batch.ops).subspan(i));
         if (tripped) return Status::Ok();
       }
       return status;
@@ -851,8 +843,8 @@ Status Controller::ResyncDeviceImpl(Device& device) {
   // Phase 1: desired entries for this device, derived from the output
   // relations (the engine is the single source of truth — whatever the
   // management plane implies, post-restart or live, is in there).
-  // Keyed by the entry's canonical P4Runtime identity (match + priority).
-  std::map<std::string, std::map<std::string, p4::TableEntry>> desired;
+  // Keyed by the entry's P4Runtime identity (match + priority).
+  std::map<std::string, std::map<p4::MatchKey, p4::TableEntry>> desired;
   for (const TableBinding& binding : bindings_.tables) {
     NERPA_ASSIGN_OR_RETURN(std::vector<dlog::Row> rows,
                            engine_->Dump(binding.relation));
@@ -867,7 +859,7 @@ Status Controller::ResyncDeviceImpl(Device& device) {
       if (!converted.first.empty() && converted.first != device.name) {
         continue;  // routed to a different device
       }
-      want[converted.second.KeyString(*schema)] = std::move(converted.second);
+      want[p4::KeyOf(*schema, converted.second)] = std::move(converted.second);
     }
   }
   // Phase 2: read the device's actual tables and compute the minimal
@@ -880,23 +872,20 @@ Status Controller::ResyncDeviceImpl(Device& device) {
                            device.client->ReadTable(binding.p4_table));
     const p4::Table* schema = p4_program_->FindTable(binding.p4_table);
     auto& want = desired[binding.p4_table];
-    std::set<std::string> held;
+    // Each held entry leaves `want`; what remains is missing.
     for (p4::TableEntry& entry : actual) {
-      std::string key = entry.KeyString(*schema);
-      auto it = want.find(key);
+      auto it = want.find(p4::KeyOf(*schema, entry));
       if (it == want.end()) {
         to_delete.push_back(std::move(entry));
         continue;
       }
-      held.insert(key);
       if (it->second.action != entry.action ||
           it->second.action_args != entry.action_args) {
-        to_modify.push_back(it->second);
+        to_modify.push_back(std::move(it->second));
       }
+      want.erase(it);
     }
-    for (auto& [key, entry] : want) {
-      if (held.count(key) == 0) to_insert.push_back(entry);
-    }
+    for (auto& [key, entry] : want) to_insert.push_back(std::move(entry));
   }
   auto apply = [&](p4::UpdateType type, const p4::TableEntry& entry) {
     return WriteWithRetry(device, [&] {

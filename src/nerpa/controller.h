@@ -22,6 +22,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,8 +57,8 @@ class Controller {
   /// stays dead past the retry budget.  A write that exhausts Options::retry
   /// — or succeeds slower than write_timeout_nanos — is a *strike*; at
   /// strike_threshold the breaker opens and the device is quarantined:
-  /// its pending deltas coalesce into a per-device outbox (bounded: one
-  /// op per entry identity / multicast group) instead of failing the
+  /// its pending writes are recorded in a per-device outbox (bounded: one
+  /// slot per entry identity / multicast group) instead of failing the
   /// delta, so one dead switch never stalls or aborts the others.
   /// RunAntiEntropy() probes quarantined devices once their cooldown
   /// elapses (half-open) and replays the minimal resync diff on rejoin.
@@ -321,10 +323,11 @@ class Controller {
     int strikes = 0;
     int64_t cooldown_until_nanos = 0;
     int64_t next_cooldown_nanos = 0;
-    /// Deltas coalesced while quarantined, keyed by entry identity
-    /// (table + match + priority) or multicast group — bounded by the
-    /// device's table footprint no matter how long the outage lasts.
-    std::map<std::string, DeviceOp> outbox;
+    /// What the parked writes touch: (table, entry key), or ("", {group})
+    /// for a multicast group.  Bounded by the device's table footprint no
+    /// matter how long the outage lasts.  The resync that drains it
+    /// rederives every write from the engine, so no op is kept.
+    std::set<std::pair<std::string, p4::MatchKey>> outbox;
   };
 
   /// A delta's writes for one device, in serial-equivalent order.
@@ -371,11 +374,8 @@ class Controller {
   /// Forces the breaker open (used when a rejoin resync fails).  Caller
   /// holds stats_mu_.
   void QuarantineLocked(Device& device);
-  /// True (and ops absorbed into the outbox) when `device` is
-  /// quarantined; ExecuteBatch then skips the device entirely.
-  bool QuarantineOps(Device& device, std::vector<DeviceOp> ops);
-  /// Outbox coalescing key for one op.
-  std::string OutboxKey(const DeviceOp& op) const;
+  /// Records the identities `ops` write in the device outbox.
+  void QuarantineOps(Device& device, std::span<const DeviceOp> ops);
   /// Half-open probe of one quarantined device (resync; close on
   /// success, reopen with escalated cooldown on failure).
   void ProbeDevice(Device& device);

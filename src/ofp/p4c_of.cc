@@ -8,10 +8,6 @@ namespace nerpa::ofp {
 
 namespace {
 
-uint64_t WidthMask(int width) {
-  return width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
-}
-
 /// Walks a control block, assigning consecutive table ids and accumulating
 /// guard matches.
 Status WalkControl(const p4::P4Program& program,
@@ -180,12 +176,12 @@ Result<Flow> LowerEntry(const p4::P4Program& program, const OfLayout& layout,
     switch (key.kind) {
       case p4::MatchKind::kExact:
         lowered.value = m.value;
-        lowered.mask = WidthMask(key.width);
+        lowered.mask = p4::WidthMask(key.width);
         break;
       case p4::MatchKind::kLpm: {
         if (m.prefix_len == 0) continue;  // matches everything
-        uint64_t mask = WidthMask(key.width) ^
-                        WidthMask(key.width - m.prefix_len);
+        uint64_t mask = p4::WidthMask(key.width) ^
+                        p4::WidthMask(key.width - m.prefix_len);
         lowered.value = m.value & mask;
         lowered.mask = mask;
         prefix_sum += m.prefix_len;
@@ -199,7 +195,7 @@ Result<Flow> LowerEntry(const p4::P4Program& program, const OfLayout& layout,
       case p4::MatchKind::kOptional:
         if (m.wildcard) continue;
         lowered.value = m.value;
-        lowered.mask = WidthMask(key.width);
+        lowered.mask = p4::WidthMask(key.width);
         break;
       case p4::MatchKind::kRange:
         return FailedPrecondition(

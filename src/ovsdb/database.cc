@@ -1,7 +1,6 @@
 #include "ovsdb/database.h"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 
 #include "common/log.h"
@@ -391,7 +390,7 @@ class Database::Txn {
           return InvalidArgument("duplicate uuid-name '" + name->as_string() +
                                  "'");
         }
-        // Journal replay pins row identities via an explicit "uuid" member.
+        // WAL replay pins row identities via an explicit "uuid" member.
         Uuid uuid = Uuid::Generate();
         if (const Json* forced = op.Find("uuid");
             forced != nullptr && forced->is_string()) {
@@ -1190,7 +1189,7 @@ class Database::Txn {
 namespace {
 
 /// Rewrites `operations`, pinning each insert's generated uuid (taken from
-/// the corresponding result) so journal replay reproduces identities.
+/// the corresponding result) so replaying them reproduces identities.
 Json PinInsertUuids(const Json& operations, const Json& results) {
   Json::Array pinned;
   const Json::Array& ops = operations.as_array();
@@ -1215,15 +1214,8 @@ Json PinInsertUuids(const Json& operations, const Json& results) {
 Result<Json> Database::Transact(const Json& operations) {
   Txn txn(this);
   NERPA_ASSIGN_OR_RETURN(Json results, txn.Execute(operations));
-  if (!journal_path_.empty() || !commit_hooks_.empty()) {
+  if (!commit_hooks_.empty()) {
     Json pinned = PinInsertUuids(operations, results);
-    if (!journal_path_.empty()) {
-      std::ofstream journal(journal_path_, std::ios::app);
-      if (!journal) {
-        return Internal("cannot append to journal '" + journal_path_ + "'");
-      }
-      journal << pinned.Dump() << "\n";
-    }
     for (const auto& [id, hook] : commit_hooks_) hook(pinned);
   }
   return results;
@@ -1240,34 +1232,6 @@ void Database::RemoveCommitHook(uint64_t id) {
       std::remove_if(commit_hooks_.begin(), commit_hooks_.end(),
                      [id](const auto& entry) { return entry.first == id; }),
       commit_hooks_.end());
-}
-
-Status Database::EnableJournal(const std::string& path) {
-  std::ofstream touch(path, std::ios::app);
-  if (!touch) return Internal("cannot open journal '" + path + "'");
-  journal_path_ = path;
-  return Status::Ok();
-}
-
-Result<std::unique_ptr<Database>> Database::RestoreFromJournal(
-    DatabaseSchema schema, const std::string& path) {
-  auto db = std::make_unique<Database>(std::move(schema));
-  std::ifstream journal(path);
-  if (!journal) return NotFound("no journal at '" + path + "'");
-  std::string line;
-  int line_number = 0;
-  while (std::getline(journal, line)) {
-    ++line_number;
-    if (Trim(line).empty()) continue;
-    NERPA_ASSIGN_OR_RETURN(Json operations, Json::Parse(line));
-    Result<Json> replayed = db->Transact(operations);
-    if (!replayed.ok()) {
-      return Internal(StrFormat("journal replay failed at line %d: %s",
-                                line_number,
-                                replayed.status().ToString().c_str()));
-    }
-  }
-  return db;
 }
 
 Result<Json> Database::TransactText(std::string_view text) {
@@ -1360,10 +1324,6 @@ void TxnBuilder::AssertFence(int64_t epoch) {
   op["op"] = Json("assert_fence");
   op["epoch"] = Json(epoch);
   ops_.push_back(Json(std::move(op)));
-}
-
-Json TxnBuilder::RefByName(std::string_view name) {
-  return Json(Json::Array{Json("named-uuid"), Json(std::string(name))});
 }
 
 Result<std::vector<Uuid>> TxnBuilder::Commit() {

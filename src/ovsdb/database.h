@@ -169,20 +169,6 @@ class Database {
   uint64_t AddCommitHook(CommitHook hook);
   void RemoveCommitHook(uint64_t id);
 
-  // --- Durability (append-only journal, like ovsdb-server's file) ---
-
-  /// Starts appending every committed transaction's operations to `path`
-  /// (one JSON array per line).  The file is created if missing; an
-  /// existing journal is appended to, so call Restore() first when warm-
-  /// starting.
-  Status EnableJournal(const std::string& path);
-
-  /// Builds a database by replaying a journal produced by EnableJournal.
-  /// Commits that fail during replay (impossible for a journal written by
-  /// this code) abort the restore.
-  static Result<std::unique_ptr<Database>> RestoreFromJournal(
-      DatabaseSchema schema, const std::string& path);
-
  private:
   struct TableData {
     std::unordered_map<Uuid, Row> rows;
@@ -224,7 +210,6 @@ class Database {
   uint64_t commit_count_ = 0;
   uint64_t fence_rejections_ = 0;
   mutable uint64_t indexed_selects_ = 0;
-  std::string journal_path_;  // empty = durability off
 };
 
 /// Evaluates one clause against a row (exposed for tests).
@@ -243,8 +228,7 @@ class TxnBuilder {
  public:
   explicit TxnBuilder(Database* db) : db_(db) {}
 
-  /// Adds an insert; returns the named-uuid name usable in later refs
-  /// (Datum::String is NOT a ref — use RefByName()).
+  /// Adds an insert; returns its named-uuid name.
   std::string Insert(std::string_view table,
                      std::map<std::string, Datum> columns);
   void Update(std::string_view table, std::vector<Clause> where,
@@ -265,10 +249,6 @@ class TxnBuilder {
   /// Adds an assert_fence operation: the transaction commits only if `epoch`
   /// is at least the current Leader_Lease epoch (split-brain fencing).
   void AssertFence(int64_t epoch);
-
-  /// A JSON value that references the row inserted earlier in this
-  /// transaction under `name`.
-  static Json RefByName(std::string_view name);
 
   /// Executes the accumulated operations atomically.  On success returns the
   /// UUIDs of inserted rows, in insert order.

@@ -6,12 +6,6 @@
 
 namespace nerpa::p4 {
 
-namespace {
-uint64_t WidthMask(int width) {
-  return width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
-}
-}  // namespace
-
 MatchField MatchField::Exact(uint64_t value) {
   MatchField f;
   f.value = value;
@@ -70,38 +64,6 @@ bool MatchField::Matches(MatchKind kind, int width, uint64_t field) const {
   return false;
 }
 
-std::string TableEntry::KeyString(const Table& schema) const {
-  std::string out;
-  for (size_t i = 0; i < match.size(); ++i) {
-    const MatchField& f = match[i];
-    switch (schema.keys[i].kind) {
-      case MatchKind::kExact:
-        out += StrFormat("e%llx;", static_cast<unsigned long long>(f.value));
-        break;
-      case MatchKind::kLpm:
-        out += StrFormat("l%llx/%d;", static_cast<unsigned long long>(f.value),
-                         f.prefix_len);
-        break;
-      case MatchKind::kTernary:
-        out += StrFormat("t%llx&%llx;", static_cast<unsigned long long>(f.value),
-                         static_cast<unsigned long long>(f.mask));
-        break;
-      case MatchKind::kRange:
-        out += StrFormat("r%llx-%llx;", static_cast<unsigned long long>(f.value),
-                         static_cast<unsigned long long>(f.high));
-        break;
-      case MatchKind::kOptional:
-        out += f.wildcard
-                   ? "o*;"
-                   : StrFormat("o%llx;",
-                               static_cast<unsigned long long>(f.value));
-        break;
-    }
-  }
-  out += StrFormat("p%d", priority);
-  return out;
-}
-
 std::string TableEntry::ToString() const {
   std::string out = table + "[";
   for (size_t i = 0; i < match.size(); ++i) {
@@ -117,33 +79,77 @@ std::string TableEntry::ToString() const {
   return out + ")";
 }
 
-bool TableState::pure_exact() const {
-  for (const TableKey& key : schema_->keys) {
-    if (key.kind != MatchKind::kExact) return false;
+MatchKey KeyOf(const Table& schema, const TableEntry& entry) {
+  MatchKey key;
+  key.reserve(2 * entry.match.size() + 1);
+  for (size_t i = 0; i < entry.match.size(); ++i) {
+    const MatchField& f = entry.match[i];
+    switch (schema.keys[i].kind) {
+      case MatchKind::kExact:
+        key.push_back(f.value);
+        break;
+      case MatchKind::kLpm:
+        key.insert(key.end(), {f.value, static_cast<uint64_t>(f.prefix_len)});
+        break;
+      case MatchKind::kTernary:
+        key.insert(key.end(), {f.value, f.mask});
+        break;
+      case MatchKind::kRange:
+        key.insert(key.end(), {f.value, f.high});
+        break;
+      case MatchKind::kOptional:
+        key.insert(key.end(), {f.wildcard ? 1u : 0u, f.wildcard ? 0 : f.value});
+        break;
+    }
   }
-  return true;
+  if (entry.priority != 0 || TakesPriority(schema)) {
+    key.push_back(static_cast<uint64_t>(entry.priority));
+  }
+  return key;
 }
 
+bool TakesPriority(const Table& table) {
+  return std::any_of(table.keys.begin(), table.keys.end(),
+                     [](const TableKey& key) {
+                       return key.kind == MatchKind::kTernary ||
+                              key.kind == MatchKind::kRange ||
+                              key.kind == MatchKind::kOptional;
+                     });
+}
+
+size_t TableState::KeyHash::operator()(const MatchKey& key) const {
+  uint64_t h = 0;
+  for (uint64_t word : key) {
+    h = (h ^ word) * 0x9e3779b97f4a7c15ULL + (h >> 29);
+  }
+  return h;
+}
+
+TableState::TableState(const Table* schema)
+    : schema_(schema),
+      all_exact_(std::all_of(
+          schema->keys.begin(), schema->keys.end(),
+          [](const TableKey& key) { return key.kind == MatchKind::kExact; })) {}
+
 Status TableState::Insert(TableEntry entry) {
+  if (entry.priority != 0 && !TakesPriority(*schema_)) {
+    return InvalidArgument("table '" + schema_->name +
+                           "' ranks no entries, so priority must be 0");
+  }
   if (entries_.size() >= schema_->size) {
     return ConstraintError("table '" + schema_->name + "' is full");
   }
-  std::string key = entry.KeyString(*schema_);
-  if (entries_.count(key) != 0) {
+  auto [it, inserted] = entries_.try_emplace(KeyOf(*schema_, entry));
+  if (!inserted) {
     return AlreadyExists("entry already exists in table '" + schema_->name +
                          "': " + entry.ToString());
   }
-  if (pure_exact()) {
-    std::vector<uint64_t> exact_key;
-    for (const MatchField& f : entry.match) exact_key.push_back(f.value);
-    exact_index_[std::move(exact_key)] = key;
-  }
-  entries_.emplace(std::move(key), std::move(entry));
+  it->second = std::move(entry);
   return Status::Ok();
 }
 
 Status TableState::Modify(const TableEntry& entry) {
-  auto it = entries_.find(entry.KeyString(*schema_));
+  auto it = entries_.find(KeyOf(*schema_, entry));
   if (it == entries_.end()) {
     return NotFound("no such entry in table '" + schema_->name + "': " +
                     entry.ToString());
@@ -154,58 +160,40 @@ Status TableState::Modify(const TableEntry& entry) {
 }
 
 Status TableState::Remove(const TableEntry& entry) {
-  std::string key = entry.KeyString(*schema_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  if (entries_.erase(KeyOf(*schema_, entry)) == 0) {
     return NotFound("no such entry in table '" + schema_->name + "': " +
                     entry.ToString());
   }
-  if (pure_exact()) {
-    std::vector<uint64_t> exact_key;
-    for (const MatchField& f : it->second.match) {
-      exact_key.push_back(f.value);
-    }
-    exact_index_.erase(exact_key);
-  }
-  entries_.erase(it);
   return Status::Ok();
 }
 
 const TableEntry* TableState::Lookup(
     const std::vector<uint64_t>& key_fields) const {
-  if (pure_exact()) {
-    auto it = exact_index_.find(key_fields);
-    if (it == exact_index_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
-    const TableEntry& entry = entries_.at(it->second);
-    ++entry.hit_count;
-    return &entry;
-  }
-  // General path: scan, keeping the best (longest LPM prefix sum, then
-  // highest priority) match.
   const TableEntry* best = nullptr;
-  int best_prefix = -1;
-  int32_t best_priority = 0;
-  for (const auto& [key, entry] : entries_) {
-    bool all = true;
-    int prefix_sum = 0;
-    for (size_t i = 0; i < schema_->keys.size(); ++i) {
-      const TableKey& tk = schema_->keys[i];
-      if (!entry.match[i].Matches(tk.kind, tk.width, key_fields[i])) {
-        all = false;
-        break;
+  if (all_exact_) {
+    auto it = entries_.find(key_fields);
+    if (it != entries_.end()) best = &it->second;
+  } else {
+    // Scan, keeping the best (longest LPM prefix sum, then highest
+    // priority) match.
+    int best_prefix = -1;
+    for (const auto& [key, entry] : entries_) {
+      bool all = true;
+      int prefix_sum = 0;
+      for (size_t i = 0; i < schema_->keys.size(); ++i) {
+        const TableKey& tk = schema_->keys[i];
+        if (!entry.match[i].Matches(tk.kind, tk.width, key_fields[i])) {
+          all = false;
+          break;
+        }
+        if (tk.kind == MatchKind::kLpm) prefix_sum += entry.match[i].prefix_len;
       }
-      if (tk.kind == MatchKind::kLpm) prefix_sum += entry.match[i].prefix_len;
-    }
-    if (!all) continue;
-    if (best == nullptr || prefix_sum > best_prefix ||
-        (prefix_sum == best_prefix && entry.priority > best_priority)) {
-      best = &entry;
-      best_prefix = prefix_sum;
-      best_priority = entry.priority;
+      if (!all) continue;
+      if (best == nullptr || prefix_sum > best_prefix ||
+          (prefix_sum == best_prefix && entry.priority > best->priority)) {
+        best = &entry;
+        best_prefix = prefix_sum;
+      }
     }
   }
   if (best != nullptr) {

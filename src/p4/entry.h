@@ -8,9 +8,9 @@
 #define NERPA_P4_ENTRY_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -47,35 +47,48 @@ struct TableEntry {
   // TableState::Lookup, read through RuntimeClient::ReadCounters.
   mutable uint64_t hit_count = 0;
 
-  /// Canonical identity of an entry = table + match + priority (P4Runtime
-  /// semantics: modifying an entry keeps its identity, changing match or
-  /// priority makes a different entry).
-  std::string KeyString(const Table& schema) const;
-
   std::string ToString() const;
 };
 
-/// The runtime contents of one table, with per-kind lookup behaviour:
-/// exact tables use a hash map; LPM prefers the longest prefix; ternary,
-/// range, and optional matches pick the highest-priority matching entry.
+/// An entry's P4Runtime identity within its table: for each key, the words
+/// its match kind compares (exact: value; LPM: value, prefix length;
+/// ternary: value, mask; range: low, high; optional: wildcard flag, value),
+/// then the priority.  Modify keeps an entry's key; a different match or
+/// priority names a different entry.  A table that ranks nothing (see
+/// TakesPriority) holds only priority-0 entries, and their keys leave that
+/// zero out, so an all-exact table's key is its looked-up field values.
+using MatchKey = std::vector<uint64_t>;
+MatchKey KeyOf(const Table& schema, const TableEntry& entry);
+
+/// Does `table` rank overlapping entries by priority, i.e. has it a
+/// ternary, range or optional key?  Every entry of any other table has
+/// priority 0.
+bool TakesPriority(const Table& table);
+
+/// The runtime contents of one table, kept in one hash map keyed by
+/// MatchKey.  An all-exact table answers a lookup with one probe; other
+/// tables scan, preferring the longest LPM prefix, then the highest
+/// priority.
 class TableState {
  public:
-  explicit TableState(const Table* schema) : schema_(schema) {}
+  explicit TableState(const Table* schema);
 
   const Table& schema() const { return *schema_; }
   size_t size() const { return entries_.size(); }
 
-  /// Inserts a new entry; error if an entry with the same match+priority
-  /// exists or the table is full.
+  /// Inserts a new entry; error if the table is full, an entry with the
+  /// same key exists, or the entry has a priority that TakesPriority()
+  /// forbids (a lookup could never reach it).
   Status Insert(TableEntry entry);
   /// Replaces the action of an existing entry.
   Status Modify(const TableEntry& entry);
-  /// Removes an entry by match+priority.
+  /// Removes an entry by key.
   Status Remove(const TableEntry& entry);
 
   /// Highest-precedence entry matching `key_fields`, or nullptr on miss.
   const TableEntry* Lookup(const std::vector<uint64_t>& key_fields) const;
 
+  /// Every entry, in no particular order.
   std::vector<const TableEntry*> Entries() const;
 
   /// Per-table hit/miss counters (a tiny model of P4 direct counters).
@@ -83,12 +96,13 @@ class TableState {
   uint64_t misses() const { return misses_; }
 
  private:
-  bool pure_exact() const;
+  struct KeyHash {
+    size_t operator()(const MatchKey& key) const;
+  };
 
   const Table* schema_;
-  std::map<std::string, TableEntry> entries_;  // canonical key -> entry
-  // Exact-match fast path: serialized key fields -> canonical key.
-  std::map<std::vector<uint64_t>, std::string> exact_index_;
+  bool all_exact_;
+  std::unordered_map<MatchKey, TableEntry, KeyHash> entries_;
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
 };

@@ -100,8 +100,7 @@ Status Switch::WriteField(Ctx& ctx, const FieldRef& ref, uint64_t value) {
   int index = header->FindField(field);
   if (index < 0) return NotFound("no field '" + ref.text + "'");
   int width = header->fields[static_cast<size_t>(index)].width;
-  uint64_t mask = width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
-  it->second.values[static_cast<size_t>(index)] = value & mask;
+  it->second.values[static_cast<size_t>(index)] = value & WidthMask(width);
   return Status::Ok();
 }
 

@@ -200,6 +200,11 @@ struct P4Program {
 inline constexpr int kStandardFieldWidth = 16;
 inline constexpr uint64_t kDropPort = 0x1FF;
 
+/// The all-ones value of a bit<width> field.
+inline uint64_t WidthMask(int width) {
+  return width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
+}
+
 }  // namespace nerpa::p4
 
 #endif  // NERPA_P4_IR_H_

@@ -13,12 +13,6 @@ const char* UpdateTypeName(UpdateType type) {
   return "?";
 }
 
-namespace {
-uint64_t WidthMask(int width) {
-  return width >= 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
-}
-}  // namespace
-
 Status RuntimeClient::ValidateEntry(const TableEntry& entry,
                                     UpdateType type) const {
   const Table* table = program().FindTable(entry.table);
@@ -29,6 +23,11 @@ Status RuntimeClient::ValidateEntry(const TableEntry& entry,
     return InvalidArgument(StrFormat(
         "table '%s' has %zu keys, entry supplies %zu", table->name.c_str(),
         table->keys.size(), entry.match.size()));
+  }
+  if (entry.priority != 0 && !TakesPriority(*table)) {
+    return InvalidArgument(StrFormat(
+        "table '%s' has no ternary, range or optional key, so its entries "
+        "take no priority (got %d)", table->name.c_str(), entry.priority));
   }
   for (size_t i = 0; i < table->keys.size(); ++i) {
     const TableKey& key = table->keys[i];

@@ -1,11 +1,17 @@
 // Unit tests for the P4 subsystem: IR validation, match-kind semantics,
 // the behavioural interpreter (parsing, pipeline, multicast, digests,
-// VLAN push/pop, clones), and the P4Runtime-style API validation.
+// VLAN push/pop, clones), the P4Runtime-style API validation, and a
+// differential oracle for the table store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "common/strings.h"
 #include "net/packet.h"
 #include "p4/interpreter.h"
 #include "p4/runtime.h"
+#include "p4/text.h"
 #include "snvs/snvs.h"
 
 namespace nerpa::p4 {
@@ -345,6 +351,304 @@ TEST_F(InterpreterTest, StatsCountPackets) {
   (void)device_.ProcessPacket(PacketIn{9, frame});  // unconfigured: drop
   EXPECT_EQ(device_.stats().packets_in, 2u);
   EXPECT_GE(device_.stats().dropped, 1u);
+}
+
+// --- Table-store oracle ---------------------------------------------------
+//
+// Seeded random insert/modify/delete/lookup streams go through
+// RuntimeClient over one table per match kind.  After every op the device
+// must agree with a list model of P4Runtime's entry semantics: an entry is
+// named by the words its keys' match kinds compare plus its priority, and
+// a lookup takes the longest prefix sum, then the highest priority.
+
+constexpr const char* kMatchKinds = R"p4(
+program kinds;
+header h { bit<8> a; bit<8> b; }
+parser { state start { extract(h); goto accept; } }
+action Set(bit<8> v) { h.b = v; }
+table Exact { key = { h.a: exact; } actions = { Set; } size = 12; }
+table Exact2 { key = { h.a: exact; h.b: exact; } actions = { Set; } size = 12; }
+table Lpm { key = { h.a: lpm; } actions = { Set; } size = 12; }
+table Ternary { key = { h.a: ternary; } actions = { Set; } size = 12; }
+table Range { key = { h.a: range; } actions = { Set; } size = 12; }
+table Opt { key = { h.a: optional; } actions = { Set; } size = 12; }
+ingress {
+  apply(Exact); apply(Exact2); apply(Lpm);
+  apply(Ternary); apply(Range); apply(Opt);
+}
+egress { }
+deparser { emit(h); }
+)p4";
+
+/// The reference store for one table: a plain list.
+class ListModel {
+ public:
+  enum class Outcome { kOk, kExists, kMissing, kFull };
+
+  explicit ListModel(const Table& schema) : schema_(schema) {}
+
+  std::vector<uint64_t> Identity(const TableEntry& e) const {
+    std::vector<uint64_t> id;
+    for (size_t i = 0; i < schema_.keys.size(); ++i) {
+      const MatchField& f = e.match[i];
+      switch (schema_.keys[i].kind) {
+        case MatchKind::kExact: id.push_back(f.value); break;
+        case MatchKind::kLpm:
+          id.insert(id.end(), {f.value, static_cast<uint64_t>(f.prefix_len)});
+          break;
+        case MatchKind::kTernary: id.insert(id.end(), {f.value, f.mask}); break;
+        case MatchKind::kRange: id.insert(id.end(), {f.value, f.high}); break;
+        case MatchKind::kOptional:
+          id.insert(id.end(), {uint64_t{f.wildcard}, f.wildcard ? 0 : f.value});
+          break;
+      }
+    }
+    id.push_back(static_cast<uint64_t>(e.priority));
+    return id;
+  }
+
+  Outcome Apply(UpdateType type, const TableEntry& e) {
+    auto it = std::find_if(list_.begin(), list_.end(), [&](const auto& held) {
+      return Identity(held) == Identity(e);
+    });
+    if (type == UpdateType::kInsert) {
+      if (list_.size() >= schema_.size) return Outcome::kFull;
+      if (it != list_.end()) return Outcome::kExists;
+      list_.push_back(e);
+      return Outcome::kOk;
+    }
+    if (it == list_.end()) return Outcome::kMissing;
+    if (type == UpdateType::kDelete) {
+      list_.erase(it);
+    } else {
+      it->action = e.action;
+      it->action_args = e.action_args;
+    }
+    return Outcome::kOk;
+  }
+
+  /// The best match for `key` (nullptr on a miss); `*unique` turns false
+  /// when another entry ranks equal to it.
+  const TableEntry* Lookup(const std::vector<uint64_t>& key,
+                           bool* unique) const {
+    const TableEntry* best = nullptr;
+    std::pair<int, int32_t> best_rank;
+    *unique = true;
+    for (const TableEntry& e : list_) {
+      int prefix = 0;
+      bool hit = true;
+      for (size_t i = 0; i < schema_.keys.size(); ++i) {
+        const TableKey& k = schema_.keys[i];
+        hit = hit && e.match[i].Matches(k.kind, k.width, key[i]);
+        if (k.kind == MatchKind::kLpm) prefix += e.match[i].prefix_len;
+      }
+      if (!hit) continue;
+      std::pair<int, int32_t> rank{prefix, e.priority};
+      if (best == nullptr || rank > best_rank) {
+        best = &e;
+        best_rank = rank;
+        *unique = true;
+      } else if (rank == best_rank) {
+        *unique = false;
+      }
+    }
+    return best;
+  }
+
+  std::string Describe(const TableEntry& e) const {
+    std::string out;
+    for (uint64_t word : Identity(e)) {
+      out += StrFormat("%llx.", static_cast<unsigned long long>(word));
+    }
+    return out + "->" + e.action + StrFormat("(%llx)",
+        static_cast<unsigned long long>(e.action_args.at(0)));
+  }
+
+  std::vector<std::string> Dump() const {
+    std::vector<std::string> out;
+    for (const TableEntry& e : list_) out.push_back(Describe(e));
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  const std::vector<TableEntry>& list() const { return list_; }
+
+ private:
+  const Table& schema_;
+  std::vector<TableEntry> list_;
+};
+
+ListModel::Outcome Classify(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kOk: return ListModel::Outcome::kOk;
+    case StatusCode::kAlreadyExists: return ListModel::Outcome::kExists;
+    case StatusCode::kNotFound: return ListModel::Outcome::kMissing;
+    case StatusCode::kConstraintError: return ListModel::Outcome::kFull;
+    default:
+      ADD_FAILURE() << "unexpected status " << status.ToString();
+      return ListModel::Outcome::kOk;
+  }
+}
+
+/// A random match field of `kind`, drawn from a small domain so that
+/// duplicates, misses and overlaps are common.
+MatchField RandomField(MatchKind kind, std::mt19937_64& rng) {
+  switch (kind) {
+    case MatchKind::kExact:
+      return MatchField::Exact(rng() % 16);
+    case MatchKind::kLpm: {
+      int plen = static_cast<int>(rng() % 9);
+      uint64_t value = (rng() % 4) << 6;
+      if (rng() % 4 == 0) value |= rng() % 64;  // bits below the prefix
+      return MatchField::Lpm(value, plen);
+    }
+    case MatchKind::kTernary: {
+      static constexpr uint64_t kMasks[] = {0x00, 0xC0, 0xF0, 0x0F, 0xFF};
+      static constexpr uint64_t kValues[] = {0x00, 0x11, 0x5A, 0xF0, 0xFF};
+      return MatchField::Ternary(kValues[rng() % 5], kMasks[rng() % 5]);
+    }
+    case MatchKind::kRange: {
+      uint64_t low = rng() % 16;
+      return MatchField::Range(low, low + rng() % 8);
+    }
+    case MatchKind::kOptional:
+      return rng() % 4 == 0 ? MatchField::Optional(std::nullopt)
+                            : MatchField::Optional(rng() % 8);
+  }
+  return {};
+}
+
+uint64_t RandomProbe(MatchKind kind, std::mt19937_64& rng) {
+  switch (kind) {
+    case MatchKind::kExact: return rng() % 16;
+    case MatchKind::kLpm: return ((rng() % 4) << 6) | (rng() % 64);
+    case MatchKind::kTernary: return rng() % 256;
+    case MatchKind::kRange: return rng() % 28;
+    case MatchKind::kOptional: return rng() % 10;
+  }
+  return 0;
+}
+
+TEST(TableStoreOracle, RandomStreamsMatchListModel) {
+  auto program = ParseP4Text(kMatchKinds);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  int compared_lookups = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937_64 rng(seed);
+    Switch device(*program);
+    RuntimeClient client(&device);
+    std::vector<ListModel> models;
+    for (const Table& table : (*program)->tables) models.emplace_back(table);
+    for (int step = 0; step < 600; ++step) {
+      size_t t = rng() % models.size();
+      const Table& schema = (*program)->tables[t];
+      ListModel& model = models[t];
+      TableState& state = *device.GetTable(schema.name);
+      SCOPED_TRACE(StrFormat("seed %llu step %d table %s",
+                             static_cast<unsigned long long>(seed), step,
+                             schema.name.c_str()));
+      uint64_t roll = rng() % 100;
+      if (roll < 20) {
+        std::vector<uint64_t> probe;
+        for (const TableKey& key : schema.keys) {
+          probe.push_back(RandomProbe(key.kind, rng));
+        }
+        bool unique = false;
+        const TableEntry* want = model.Lookup(probe, &unique);
+        const TableEntry* got = state.Lookup(probe);
+        if (!unique) continue;  // overlapping equal ranks: undefined
+        ++compared_lookups;
+        ASSERT_EQ(got == nullptr, want == nullptr);
+        if (want != nullptr) {
+          EXPECT_EQ(model.Describe(*got), model.Describe(*want));
+        }
+        continue;
+      }
+      UpdateType type = roll < 60   ? UpdateType::kInsert
+                        : roll < 75 ? UpdateType::kModify
+                                    : UpdateType::kDelete;
+      TableEntry entry;
+      if (type != UpdateType::kInsert && !model.list().empty() &&
+          rng() % 4 != 0) {
+        entry = model.list()[rng() % model.list().size()];
+      } else {
+        entry.table = schema.name;
+        bool ranked = false;
+        for (const TableKey& key : schema.keys) {
+          entry.match.push_back(RandomField(key.kind, rng));
+          ranked = ranked || key.kind == MatchKind::kTernary ||
+                   key.kind == MatchKind::kRange ||
+                   key.kind == MatchKind::kOptional;
+        }
+        entry.priority = ranked ? static_cast<int32_t>(rng() % 3) : 0;
+      }
+      entry.action = "Set";
+      entry.action_args = {rng() % 256};
+      ListModel::Outcome want = model.Apply(type, entry);
+      ASSERT_EQ(Classify(client.Write({Update{type, entry}})), want)
+          << UpdateTypeName(type) << " " << model.Describe(entry);
+      std::vector<std::string> held;
+      for (const TableEntry* e : state.Entries()) {
+        held.push_back(model.Describe(*e));
+      }
+      std::sort(held.begin(), held.end());
+      ASSERT_EQ(held, model.Dump());
+      ASSERT_EQ(state.size(), model.list().size());
+    }
+  }
+  EXPECT_GT(compared_lookups, 1000);
+}
+
+TEST(RuntimeClient, PriorityOnlyOnTablesThatRankEntries) {
+  // P4Runtime: priority orders overlapping entries, so only a table with a
+  // ternary, range or optional key takes one.  Elsewhere a non-zero
+  // priority would name a second entry for the same match, one that a
+  // lookup could never reach.
+  auto program = snvs::SnvsP4Program();
+  Switch device(program);
+  RuntimeClient client(&device);
+  TableEntry flood;
+  flood.table = "FloodVlan";
+  flood.match = {MatchField::Exact(7)};
+  flood.action = "Flood";
+  flood.action_args = {11};
+  ASSERT_TRUE(client.Insert(flood).ok());
+  TableEntry ranked = flood;
+  ranked.priority = 5;
+  EXPECT_EQ(client.Insert(ranked).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.Delete(ranked).code(), StatusCode::kInvalidArgument);
+  TableState* table = device.GetTable("FloodVlan");
+  EXPECT_NE(table->Lookup({7}), nullptr);
+  TableEntry other = flood;
+  other.match = {MatchField::Exact(8)};
+  EXPECT_EQ(client.Write({{UpdateType::kInsert, other},
+                          {UpdateType::kInsert, ranked}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Nothing of the rejected batch applied, and the priority-0 entry is
+  // still installed and reachable.
+  EXPECT_EQ(table->size(), 1u);
+  EXPECT_NE(table->Lookup({7}), nullptr);
+  // The store itself refuses an entry that its lookup cannot reach.
+  EXPECT_EQ(table->Insert(ranked).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(table->size(), 1u);
+
+  // LPM ranks by prefix length, not priority; ternary takes a priority.
+  auto kinds = ParseP4Text(kMatchKinds);
+  ASSERT_TRUE(kinds.ok());
+  Switch kinds_device(*kinds);
+  RuntimeClient kinds_client(&kinds_device);
+  TableEntry route;
+  route.table = "Lpm";
+  route.match = {MatchField::Lpm(0x80, 1)};
+  route.priority = 1;
+  route.action = "Set";
+  route.action_args = {1};
+  EXPECT_EQ(kinds_client.Insert(route).code(), StatusCode::kInvalidArgument);
+  TableEntry acl = route;
+  acl.table = "Ternary";
+  acl.match = {MatchField::Ternary(0x80, 0x80)};
+  EXPECT_TRUE(kinds_client.Insert(acl).ok());
 }
 
 }  // namespace

@@ -17,13 +17,13 @@
 namespace nerpa::snvs {
 namespace {
 
-/// Canonical dump of one table's entries (match + action + args).
+/// Canonical dump of one table's entries (match + priority + action +
+/// args; every snvs key is exact, so the match values name the entry).
 std::multiset<std::string> TableContents(const p4::Switch& device,
                                          const char* table) {
   std::multiset<std::string> out;
-  const p4::TableState* state = device.GetTable(table);
-  for (const p4::TableEntry* entry : state->Entries()) {
-    out.insert(entry->KeyString(state->schema()) + "->" + entry->ToString());
+  for (const p4::TableEntry* entry : device.GetTable(table)->Entries()) {
+    out.insert(entry->ToString() + "#" + std::to_string(entry->priority));
   }
   return out;
 }
