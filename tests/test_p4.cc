@@ -1,10 +1,12 @@
 // Unit tests for the P4 subsystem: IR validation, match-kind semantics,
 // the behavioural interpreter (parsing, pipeline, multicast, digests,
-// VLAN push/pop, clones), the P4Runtime-style API validation, and a
-// differential oracle for the table store.
+// VLAN push/pop, clones), the P4Runtime-style API validation, a
+// differential oracle for the table store, and a golden corpus pinning
+// every shipped program's packet-path behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 
 #include "common/strings.h"
@@ -13,6 +15,7 @@
 #include "p4/runtime.h"
 #include "p4/text.h"
 #include "snvs/snvs.h"
+#include "stacks.h"
 
 namespace nerpa::p4 {
 namespace {
@@ -649,6 +652,215 @@ TEST(RuntimeClient, PriorityOnlyOnTablesThatRankEntries) {
   acl.table = "Ternary";
   acl.match = {MatchField::Ternary(0x80, 0x80)};
   EXPECT_TRUE(kinds_client.Insert(acl).ok());
+}
+
+// --- Data-plane golden corpus ---------------------------------------------
+//
+// A seeded corpus of frames runs through every shipped P4 program, with
+// entries installed through RuntimeClient.  Every observable result is
+// folded into one FNV-1a fingerprint: status code, output ports and bytes,
+// digests, Switch::Stats and per-table hits and misses.  The pinned value
+// records the packet path's behaviour; a rewrite of the interpreter or the
+// packet codecs must reproduce it bit for bit.
+
+constexpr uint64_t kGoldenFingerprint = 0x47f339638271cdf0ULL;
+
+class Fnv1a {
+ public:
+  void Add(uint64_t word) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(word >> (8 * i)));
+  }
+  void Add(const std::vector<uint8_t>& bytes) {
+    Add(bytes.size());
+    for (uint8_t byte : bytes) Byte(byte);
+  }
+  void Add(const std::string& text) {
+    Add(text.size());
+    for (char c : text) Byte(static_cast<uint8_t>(c));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Byte(uint8_t byte) { hash_ = (hash_ ^ byte) * 0x100000001b3ULL; }
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+TableEntry ExactEntry(std::string table, std::vector<uint64_t> keys,
+                      std::string action, std::vector<uint64_t> args) {
+  TableEntry entry;
+  entry.table = std::move(table);
+  for (uint64_t key : keys) entry.match.push_back(MatchField::Exact(key));
+  entry.action = std::move(action);
+  entry.action_args = std::move(args);
+  return entry;
+}
+
+constexpr uint64_t kHostBase = 0x020000000000ULL;
+
+/// snvs: access ports 1-4 on VLAN 10 and 5-8 on VLAN 20, trunks 9 and 10
+/// on VLANs 10, 20 and 30, a mirror of port 3 to port 11, one ACL drop and
+/// one allow, and hosts 0-23 learned on their ports (hosts 24-31 are not).
+void InstallSnvs(RuntimeClient& client) {
+  std::vector<Update> updates;
+  auto add = [&](TableEntry entry) {
+    updates.push_back({UpdateType::kInsert, std::move(entry)});
+  };
+  std::map<uint64_t, std::vector<uint64_t>> members;  // vlan -> ports
+  for (uint64_t port = 1; port <= 8; ++port) {
+    uint64_t vlan = port <= 4 ? 10 : 20;
+    add(ExactEntry("InVlanUntagged", {port}, "SetAccessVlan", {vlan}));
+    add(ExactEntry("OutVlan", {port, vlan}, "EmitUntagged", {}));
+    members[vlan].push_back(port);
+  }
+  for (uint64_t port : {9, 10}) {
+    for (uint64_t vlan : {10, 20, 30}) {
+      add(ExactEntry("InVlanTagged", {port, vlan}, "UseTaggedVlan", {vlan}));
+      add(ExactEntry("OutVlan", {port, vlan}, "EmitTagged", {vlan}));
+      members[vlan].push_back(port);
+    }
+  }
+  for (const auto& [vlan, ports] : members) {
+    add(ExactEntry("FloodVlan", {vlan}, "Flood", {vlan + 1}));
+    ASSERT_TRUE(client
+                    .SetMulticastGroup(static_cast<uint32_t>(vlan + 1),
+                                       ports)
+                    .ok());
+  }
+  add(ExactEntry("PortMirror", {3}, "MirrorTo", {11}));
+  add(ExactEntry("Acl", {10, kHostBase + 5}, "AclDrop", {}));
+  add(ExactEntry("Acl", {20, kHostBase + 6}, "AclAllow", {}));
+  for (uint64_t host = 0; host < 24; ++host) {
+    uint64_t port = 1 + host % 10;
+    uint64_t vlan = port <= 4 ? 10 : port <= 8 ? 20 : 30;
+    add(ExactEntry("SMac", {vlan, kHostBase + host, port}, "NoAction", {}));
+    add(ExactEntry("Dmac", {vlan, kHostBase + host}, "Forward", {port}));
+  }
+  ASSERT_TRUE(client.Write(updates).ok());
+}
+
+/// ip_fabric: nested routes under 10/8 and one under 192.168/16.
+void InstallFabric(RuntimeClient& client) {
+  std::vector<Update> updates;
+  auto route = [&](uint64_t prefix, int plen, uint64_t port) {
+    TableEntry entry;
+    entry.table = "IpRoute";
+    entry.match = {MatchField::Lpm(prefix, plen)};
+    entry.action = "Route";
+    entry.action_args = {port};
+    updates.push_back({UpdateType::kInsert, std::move(entry)});
+  };
+  route(0x0A000000, 8, 1);
+  route(0x0A010000, 16, 2);
+  route(0x0A010200, 24, 3);
+  route(0xC0A80000, 16, 4);
+  ASSERT_TRUE(client.Write(updates).ok());
+}
+
+/// multi_device: ports 1-6 assigned to VLANs.
+void InstallMultiDevice(RuntimeClient& client) {
+  std::vector<Update> updates;
+  for (uint64_t port = 1; port <= 6; ++port) {
+    updates.push_back({UpdateType::kInsert,
+                       ExactEntry("VlanMap", {port}, "Assign", {port * 7})});
+  }
+  ASSERT_TRUE(client.Write(updates).ok());
+}
+
+/// One corpus frame: 0-1,600 bytes, tagged or untagged, to a learned host,
+/// an unknown host or broadcast, with known and unknown EtherTypes and an
+/// IPv4-shaped payload head; one in eight is cut inside its headers.  Half
+/// the frames from a host arrive on its own port.
+PacketIn CorpusFrame(std::mt19937_64& rng) {
+  static constexpr uint64_t kEtherTypes[] = {0x0800, 0x0800, 0x86DD, 0x0806,
+                                             0x8100};
+  static constexpr uint64_t kDsts[] = {0x0A010203, 0x0A01FF00, 0x0AFF0001,
+                                       0xC0A80101, 0x0B000001};
+  uint64_t roll = rng() % 10;
+  uint64_t dst = roll < 2   ? 0xFFFFFFFFFFFFULL
+                 : roll < 8 ? kHostBase + rng() % 32
+                            : rng() & 0xFFFFFFFFFFFFULL;
+  uint64_t host = rng() % 32;
+  uint64_t src = rng() % 8 != 0 ? kHostBase + host
+                                : rng() & 0xFFFFFFFFFFFFULL;
+  uint64_t port = rng() % 13;
+  if (src == kHostBase + host && rng() % 2 == 0) port = 1 + host % 10;
+  net::PacketWriter writer;
+  writer.WriteBits(dst, 48);
+  writer.WriteBits(src, 48);
+  if (rng() % 3 == 0) {
+    static constexpr uint64_t kVids[] = {10, 20, 30, 99};
+    writer.WriteU16(0x8100);
+    writer.WriteBits(rng(), 3);  // pcp
+    writer.WriteBits(rng(), 1);  // dei
+    writer.WriteBits(rng() % 5 == 0 ? rng() : kVids[rng() % 4], 12);
+  }
+  writer.WriteU16(static_cast<uint16_t>(
+      rng() % 6 == 0 ? rng() : kEtherTypes[rng() % 5]));
+  writer.WriteU8(static_cast<uint8_t>(rng()));                 // ttl
+  writer.WriteU32(static_cast<uint32_t>(rng()));               // src
+  uint64_t ip_dst = rng();
+  if (rng() % 4 != 0) ip_dst = kDsts[rng() % 5] + ip_dst % 4;
+  writer.WriteU32(static_cast<uint32_t>(ip_dst));              // dst
+  net::Packet frame = writer.Finish();
+  size_t length = rng() % 8 == 0   ? rng() % 27
+                  : rng() % 2 == 0 ? 60 + rng() % 5
+                                   : 27 + rng() % 1574;
+  size_t head = frame.size();
+  frame.resize(length);
+  for (size_t i = head; i < length; ++i) {
+    frame[i] = static_cast<uint8_t>(rng());
+  }
+  return PacketIn{port, std::move(frame)};
+}
+
+TEST(Interpreter, GoldenCorpus) {
+  Fnv1a fingerprint;
+  int programs = 0;
+  for (const std::string& name : examples::StackNames()) {
+    auto stack = examples::GetStack(name);
+    ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+    if (stack->p4 == nullptr) continue;
+    SCOPED_TRACE(name);
+    ++programs;
+    Switch device(stack->p4);
+    RuntimeClient client(&device);
+    if (name == "snvs") {
+      ASSERT_NO_FATAL_FAILURE(InstallSnvs(client));
+    } else if (name == "ip_fabric") {
+      ASSERT_NO_FATAL_FAILURE(InstallFabric(client));
+    } else if (name == "multi_device") {
+      ASSERT_NO_FATAL_FAILURE(InstallMultiDevice(client));
+    }
+    std::mt19937_64 rng(programs);
+    for (int i = 0; i < 5000; ++i) {
+      auto out = device.ProcessPacket(CorpusFrame(rng));
+      fingerprint.Add(static_cast<uint64_t>(out.status().code()));
+      if (out.ok()) {
+        fingerprint.Add(out->size());
+        for (const PacketOut& packet : *out) {
+          fingerprint.Add(packet.port);
+          fingerprint.Add(packet.packet);
+        }
+      }
+      for (const DigestMessage& digest : device.TakeDigests()) {
+        fingerprint.Add(digest.name);
+        for (uint64_t field : digest.fields) fingerprint.Add(field);
+      }
+    }
+    const Switch::Stats& stats = device.stats();
+    for (uint64_t count : {stats.packets_in, stats.packets_out, stats.dropped,
+                           stats.digests, stats.parse_errors}) {
+      fingerprint.Add(count);
+    }
+    for (const Table& table : stack->p4->tables) {
+      fingerprint.Add(device.GetTable(table.name)->hits());
+      fingerprint.Add(device.GetTable(table.name)->misses());
+    }
+  }
+  EXPECT_EQ(programs, 3);
+  EXPECT_EQ(fingerprint.value(), kGoldenFingerprint)
+      << StrFormat("0x%016llx",
+                   static_cast<unsigned long long>(fingerprint.value()));
 }
 
 }  // namespace
