@@ -110,22 +110,46 @@ void BM_P4RuntimeWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_P4RuntimeWrite)->Iterations(50000)->Repetitions(5);
 
-/// Full per-packet pipeline execution (parse, 8 tables, deparse).
-void BM_P4PacketPipeline(benchmark::State& state) {
+/// Per-packet pipeline execution (parse, 8 tables, deparse) in the steady
+/// state of a 16-port access VLAN with hosts AA (port 1) and BB (port 2)
+/// learned: a `bytes`-long frame from AA to BB leaves once, on port 2, and
+/// a broadcast from AA floods the other 15 ports.
+void BM_P4PacketPipeline(benchmark::State& state, size_t bytes,
+                         bool broadcast) {
   auto stack = snvs::BuildSnvsStack().value();
-  (void)stack->AddPort("p1", 1, "access", 10);
-  (void)stack->AddPort("p2", 2, "access", 10);
-  net::Packet frame = net::MakeEthernetFrame(
-      net::Mac(0, 0, 0, 0, 0, 0xBB), net::Mac(0, 0, 0, 0, 0, 0xAA), 0x0800,
-      {1, 2, 3, 4});
-  // Learn both MACs first so the steady state is unicast.
-  (void)stack->InjectPacket(0, 1, frame);
+  for (int64_t port = 1; port <= 16; ++port) {
+    (void)stack->AddPort(StrFormat("p%lld", static_cast<long long>(port)),
+                         port, "access", 10);
+  }
+  const net::Mac aa(0, 0, 0, 0, 0, 0xAA), bb(0, 0, 0, 0, 0, 0xBB);
+  auto frame_of = [](net::Mac dst, net::Mac src, size_t size) {
+    return net::MakeEthernetFrame(dst, src, 0x0800,
+                                  std::vector<uint8_t>(size - 14, 0x5A));
+  };
+  (void)stack->InjectPacket(0, 1, frame_of(bb, aa, 64));  // learns AA
+  (void)stack->InjectPacket(0, 2, frame_of(aa, bb, 64));  // learns BB
+  net::Packet frame = frame_of(broadcast ? net::Mac::Broadcast() : bb, aa,
+                               bytes);
+  auto out = stack->device().ProcessPacket(p4::PacketIn{1, frame});
+  bool steady = out.ok() && (broadcast ? out->size() == 15
+                                       : out->size() == 1 &&
+                                             (*out)[0].port == 2);
+  if (!steady || !stack->device().TakeDigests().empty()) {
+    state.SkipWithError("hosts not learned: the frame is not forwarded as "
+                        "in the steady state");
+    return;
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         stack->device().ProcessPacket(p4::PacketIn{1, frame}));
   }
 }
-BENCHMARK(BM_P4PacketPipeline);
+BENCHMARK_CAPTURE(BM_P4PacketPipeline, unicast_64B, 64, false)
+    ->Repetitions(5);
+BENCHMARK_CAPTURE(BM_P4PacketPipeline, unicast_1518B, 1518, false)
+    ->Repetitions(5);
+BENCHMARK_CAPTURE(BM_P4PacketPipeline, broadcast_64B_16_ports, 64, true)
+    ->Repetitions(5);
 
 /// End-to-end: one management-plane change through all three planes.
 void BM_FullStackPortAdd(benchmark::State& state) {

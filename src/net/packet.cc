@@ -23,9 +23,15 @@ std::optional<uint32_t> PacketReader::ReadU32() {
 }
 
 std::optional<uint64_t> PacketReader::ReadBits(int bits) {
+  if (static_cast<size_t>(bit_offset_ + bits) > 8 * remaining()) {
+    return std::nullopt;  // a short read consumes nothing
+  }
   uint64_t value = 0;
+  if (bit_offset_ == 0 && bits % 8 == 0) {
+    for (int i = 0; i < bits; i += 8) value = (value << 8) | data_[offset_++];
+    return value;
+  }
   for (int i = 0; i < bits; ++i) {
-    if (offset_ >= data_.size()) return std::nullopt;
     int bit = (data_[offset_] >> (7 - bit_offset_)) & 1;
     value = (value << 1) | static_cast<unsigned>(bit);
     if (++bit_offset_ == 8) {
@@ -60,6 +66,12 @@ void PacketWriter::WriteU16(uint16_t v) { WriteBits(v, 16); }
 void PacketWriter::WriteU32(uint32_t v) { WriteBits(v, 32); }
 
 void PacketWriter::WriteBits(uint64_t v, int bits) {
+  if (pending_bits_ == 0 && bits % 8 == 0) {
+    for (int i = bits - 8; i >= 0; i -= 8) {
+      data_.push_back(static_cast<uint8_t>(v >> i));
+    }
+    return;
+  }
   for (int i = bits - 1; i >= 0; --i) {
     int bit = static_cast<int>((v >> i) & 1);
     pending_ = static_cast<uint8_t>((pending_ << 1) | bit);
@@ -75,7 +87,11 @@ void PacketWriter::WriteMac(Mac mac) { WriteBits(mac.bits(), 48); }
 void PacketWriter::WriteIpv4(Ipv4 ip) { WriteU32(ip.bits()); }
 
 void PacketWriter::WriteBytes(const uint8_t* data, size_t size) {
-  for (size_t i = 0; i < size; ++i) WriteU8(data[i]);
+  if (pending_bits_ == 0) {
+    data_.insert(data_.end(), data, data + size);
+  } else {
+    for (size_t i = 0; i < size; ++i) WriteU8(data[i]);
+  }
 }
 
 Packet PacketWriter::Finish() {

@@ -27,7 +27,8 @@ enum class EtherType : uint16_t {
 /// in the interpreter, never inside the buffer.
 using Packet = std::vector<uint8_t>;
 
-/// Big-endian reader over a packet.  All Read* return nullopt past the end.
+/// Big-endian reader over a packet.  All Read* return nullopt, and consume
+/// nothing, when the packet ends before the value does.
 class PacketReader {
  public:
   explicit PacketReader(const Packet& packet) : data_(packet) {}
@@ -38,8 +39,9 @@ class PacketReader {
   std::optional<uint8_t> ReadU8();
   std::optional<uint16_t> ReadU16();
   std::optional<uint32_t> ReadU32();
-  /// Reads `bits` (1..64) most-significant-first from the current byte
-  /// boundary; used for sub-byte P4 fields (e.g. VLAN PCP/VID).
+  /// Reads `bits` (1..64) most-significant-first from the current bit
+  /// position: whole bytes when byte-aligned, else one bit at a time (the
+  /// sub-byte P4 fields, e.g. VLAN PCP/VID).
   std::optional<uint64_t> ReadBits(int bits);
   std::optional<Mac> ReadMac();
   std::optional<Ipv4> ReadIpv4();
@@ -54,10 +56,15 @@ class PacketReader {
 /// Big-endian writer building a packet.
 class PacketWriter {
  public:
+  PacketWriter() = default;
+  /// Starts with room for `capacity` bytes.
+  explicit PacketWriter(size_t capacity) { data_.reserve(capacity); }
+
   void WriteU8(uint8_t v);
   void WriteU16(uint16_t v);
   void WriteU32(uint32_t v);
-  /// Writes the low `bits` of `v` most-significant-first.
+  /// Writes the low `bits` of `v` most-significant-first (whole bytes when
+  /// byte-aligned, else one bit at a time).
   void WriteBits(uint64_t v, int bits);
   void WriteMac(Mac mac);
   void WriteIpv4(Ipv4 ip);

@@ -1,5 +1,8 @@
 #include "p4/interpreter.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/log.h"
 #include "common/strings.h"
 
@@ -7,19 +10,17 @@ namespace nerpa::p4 {
 
 Switch::Switch(std::shared_ptr<const P4Program> program)
     : program_(std::move(program)) {
-  for (const Table& table : program_->tables) {
-    tables_.emplace(table.name, TableState(&table));
-  }
+  for (const Table& table : program_->tables) tables_.emplace_back(&table);
 }
 
 TableState* Switch::GetTable(std::string_view name) {
-  auto it = tables_.find(std::string(name));
-  return it == tables_.end() ? nullptr : &it->second;
+  return const_cast<TableState*>(std::as_const(*this).GetTable(name));
 }
 
 const TableState* Switch::GetTable(std::string_view name) const {
-  auto it = tables_.find(std::string(name));
-  return it == tables_.end() ? nullptr : &it->second;
+  const Table* table = program_->FindTable(name);
+  if (table == nullptr) return nullptr;
+  return &tables_[table - program_->tables.data()];
 }
 
 Status Switch::CheckFence(uint64_t token) {
@@ -47,60 +48,21 @@ const std::vector<uint64_t>* Switch::GetMulticastGroup(uint32_t group) const {
   return it == multicast_.end() ? nullptr : &it->second;
 }
 
-Result<uint64_t> Switch::ReadField(const Ctx& ctx, const FieldRef& ref) const {
-  size_t dot = ref.text.find('.');
-  std::string space = ref.text.substr(0, dot);
-  std::string field = ref.text.substr(dot + 1);
-  if (space == "standard") {
-    if (field == "ingress_port") return ctx.ingress_port;
-    if (field == "egress_port") return ctx.egress_port;
-    if (field == "mcast_grp") return ctx.mcast_grp;
-    return NotFound("unknown standard field '" + field + "'");
-  }
-  if (space == "meta") {
-    auto it = ctx.metadata.find(field);
-    return it == ctx.metadata.end() ? 0 : it->second;
-  }
-  auto it = ctx.headers.find(space);
-  if (it == ctx.headers.end() || !it->second.valid) {
-    // Reading an invalid header yields 0 (BMv2's permissive behaviour).
-    return 0;
-  }
-  const HeaderType* header = program_->FindHeader(space);
-  int index = header->FindField(field);
-  if (index < 0) return NotFound("no field '" + ref.text + "'");
-  return it->second.values[static_cast<size_t>(index)];
+uint64_t Switch::ReadField(const Ctx& ctx, const FieldSlot& slot) const {
+  // Reading an invalid header yields 0 (BMv2's permissive behaviour).
+  if (slot.header >= 0 && !ctx.valid[slot.header]) return 0;
+  return ctx.values[slot.index];
 }
 
-Status Switch::WriteField(Ctx& ctx, const FieldRef& ref, uint64_t value) {
-  size_t dot = ref.text.find('.');
-  std::string space = ref.text.substr(0, dot);
-  std::string field = ref.text.substr(dot + 1);
-  if (space == "standard") {
-    if (field == "egress_port") {
-      ctx.egress_port = value;
-      ctx.unicast_set = true;
-      return Status::Ok();
-    }
-    if (field == "mcast_grp") {
-      ctx.mcast_grp = value;
-      return Status::Ok();
-    }
-    return FailedPrecondition("cannot write standard field '" + field + "'");
+Status Switch::WriteField(Ctx& ctx, const FieldSlot& slot,
+                          uint64_t value) const {
+  if (slot.header >= 0 && !ctx.valid[slot.header]) {
+    return FailedPrecondition("write to invalid header '" +
+                              program_->headers[slot.header].name + "'");
   }
-  if (space == "meta") {
-    ctx.metadata[field] = value;
-    return Status::Ok();
-  }
-  auto it = ctx.headers.find(space);
-  if (it == ctx.headers.end() || !it->second.valid) {
-    return FailedPrecondition("write to invalid header '" + space + "'");
-  }
-  const HeaderType* header = program_->FindHeader(space);
-  int index = header->FindField(field);
-  if (index < 0) return NotFound("no field '" + ref.text + "'");
-  int width = header->fields[static_cast<size_t>(index)].width;
-  it->second.values[static_cast<size_t>(index)] = value & WidthMask(width);
+  // Every store keeps to the field's width, as a bit<w> field would.
+  ctx.values[slot.index] = value & WidthMask(slot.width);
+  if (slot.index == kEgressPortSlot) ctx.unicast_set = true;
   return Status::Ok();
 }
 
@@ -108,70 +70,61 @@ Status Switch::RunParser(Ctx& ctx, const net::Packet& packet) {
   net::PacketReader reader(packet);
   const ParserState* state = &program_->parser[0];
   for (int hops = 0; hops < 64; ++hops) {  // cycle guard
-    if (!state->extracts.empty()) {
-      const HeaderType* header = program_->FindHeader(state->extracts);
-      HeaderInstance instance;
-      instance.valid = true;
-      for (const P4Field& field : header->fields) {
-        auto value = reader.ReadBits(field.width);
+    if (state->header >= 0) {
+      const HeaderType& header = program_->headers[state->header];
+      for (size_t f = 0; f < header.fields.size(); ++f) {
+        auto value = reader.ReadBits(header.fields[f].width);
         if (!value) {
           return InvalidArgument(StrFormat(
-              "packet too short while extracting %s.%s",
-              header->name.c_str(), field.name.c_str()));
+              "packet too short while extracting %s.%s", header.name.c_str(),
+              header.fields[f].name.c_str()));
         }
-        instance.values.push_back(*value);
+        ctx.values[header.offset + f] = *value;
       }
-      ctx.headers[header->name] = std::move(instance);
+      ctx.valid[state->header] = true;
     }
-    // Choose the transition.
-    const std::string* next = nullptr;
+    // Choose the transition: the first whose value matches the selector,
+    // else the last default; accept when there is neither.
+    int next = ParserState::kAccept;
     if (state->select.text.empty()) {
-      if (!state->transitions.empty()) next = &state->transitions[0].next;
+      if (!state->transitions.empty()) next = state->transitions[0].target;
     } else {
-      NERPA_ASSIGN_OR_RETURN(uint64_t selector,
-                             ReadField(ctx, state->select));
-      const std::string* fallback = nullptr;
+      uint64_t selector = ReadField(ctx, state->select.slot);
       for (const ParserState::Transition& t : state->transitions) {
         if (!t.match) {
-          fallback = &t.next;
+          next = t.target;
         } else if (*t.match == selector) {
-          next = &t.next;
+          next = t.target;
           break;
         }
       }
-      if (next == nullptr) next = fallback;
     }
-    if (next == nullptr || *next == "accept") {
-      // Remaining bytes are the payload.
-      size_t offset = reader.offset();
-      ctx.payload.assign(packet.begin() + static_cast<long>(offset),
-                         packet.end());
+    if (next == ParserState::kAccept) {
+      ctx.payload = reader.offset();  // the remaining bytes
       return Status::Ok();
     }
-    if (*next == "reject") {
+    if (next == ParserState::kReject) {
       return InvalidArgument("parser rejected packet");
     }
-    state = program_->FindParserState(*next);
+    state = &program_->parser[next];
   }
   return Internal("parser exceeded hop limit (cycle?)");
 }
 
-Status Switch::ApplyTable(Ctx& ctx, const Table& table) {
-  TableState& state = tables_.at(table.name);
-  std::vector<uint64_t> key;
-  key.reserve(table.keys.size());
+Status Switch::ApplyTable(Ctx& ctx, int index) {
+  const Table& table = program_->tables[index];
+  key_.clear();
   for (const TableKey& tk : table.keys) {
-    NERPA_ASSIGN_OR_RETURN(uint64_t value, ReadField(ctx, tk.field));
-    key.push_back(value);
+    key_.push_back(ReadField(ctx, tk.field.slot));
   }
-  const TableEntry* entry = state.Lookup(key);
+  const TableEntry* entry = tables_[index].Lookup(key_);
   const Action* action = nullptr;
   const std::vector<uint64_t>* args = nullptr;
   if (entry != nullptr) {
     action = program_->FindAction(entry->action);
     args = &entry->action_args;
-  } else if (!table.default_action.empty()) {
-    action = program_->FindAction(table.default_action);
+  } else if (table.default_index >= 0) {
+    action = &program_->actions[table.default_index];
     args = &table.default_action_args;
   }
   if (action == nullptr) return Status::Ok();  // miss with no default
@@ -181,11 +134,9 @@ Status Switch::ApplyTable(Ctx& ctx, const Table& table) {
 Status Switch::ExecAction(Ctx& ctx, const Action& action,
                           const std::vector<uint64_t>& args) {
   auto arg_value = [&](const ActionOp& op) -> uint64_t {
-    if (op.param.empty()) return op.immediate;
-    int index = action.FindParam(op.param);
-    return index >= 0 && static_cast<size_t>(index) < args.size()
-               ? args[static_cast<size_t>(index)]
-               : 0;
+    if (op.param_index < 0) return op.immediate;
+    size_t index = static_cast<size_t>(op.param_index);
+    return index < args.size() ? args[index] : 0;
   };
   for (const ActionOp& op : action.ops) {
     switch (op.kind) {
@@ -193,79 +144,65 @@ Status Switch::ExecAction(Ctx& ctx, const Action& action,
         break;
       case ActionOp::Kind::kSetFieldConst:
       case ActionOp::Kind::kSetFieldParam:
-        NERPA_RETURN_IF_ERROR(WriteField(ctx, op.dest, arg_value(op)));
+        NERPA_RETURN_IF_ERROR(WriteField(ctx, op.dest.slot, arg_value(op)));
         break;
-      case ActionOp::Kind::kCopyField: {
-        NERPA_ASSIGN_OR_RETURN(uint64_t value, ReadField(ctx, op.src));
-        NERPA_RETURN_IF_ERROR(WriteField(ctx, op.dest, value));
+      case ActionOp::Kind::kCopyField:
+        NERPA_RETURN_IF_ERROR(
+            WriteField(ctx, op.dest.slot, ReadField(ctx, op.src.slot)));
         break;
-      }
       case ActionOp::Kind::kOutput:
-        ctx.egress_port = arg_value(op);
+        ctx.values[kEgressPortSlot] = arg_value(op);
         ctx.unicast_set = true;
         ctx.dropped = false;
         break;
       case ActionOp::Kind::kMulticast:
-        ctx.mcast_grp = arg_value(op);
+        ctx.values[kMcastGrpSlot] = arg_value(op);
         break;
       case ActionOp::Kind::kDrop:
         ctx.dropped = true;
         ctx.unicast_set = false;
-        ctx.mcast_grp = 0;
+        ctx.values[kMcastGrpSlot] = 0;
         break;
       case ActionOp::Kind::kClone:
         ctx.clone_ports.push_back(arg_value(op));
         break;
       case ActionOp::Kind::kDigest: {
-        const Digest* digest = program_->FindDigest(op.digest_name);
-        DigestMessage message;
-        message.name = digest->name;
-        for (const P4Field& field : digest->fields) {
-          // Digest fields are named after metadata or header fields by
-          // convention "space_field" mapping is avoided: the digest field
-          // name IS a FieldRef text.
-          NERPA_ASSIGN_OR_RETURN(uint64_t value,
-                                 ReadField(ctx, FieldRef(field.name)));
-          message.fields.push_back(value);
+        const Digest& digest = program_->digests[op.digest];
+        std::vector<uint64_t> fields;
+        fields.reserve(digest.slots.size());
+        for (const FieldSlot& slot : digest.slots) {
+          fields.push_back(ReadField(ctx, slot));
         }
-        digests_.push_back(std::move(message));
+        digests_.emplace_back(&digest, std::move(fields));
         ++stats_.digests;
         break;
       }
       case ActionOp::Kind::kPushVlan: {
-        // Conventional header names: "ethernet" and "vlan".
-        const HeaderType* vlan = program_->FindHeader("vlan");
-        const HeaderType* eth = program_->FindHeader("ethernet");
-        if (vlan == nullptr || eth == nullptr) {
-          return FailedPrecondition("push_vlan needs ethernet+vlan headers");
-        }
-        HeaderInstance& vi = ctx.headers["vlan"];
-        if (!vi.valid) {
-          vi.valid = true;
-          vi.values.assign(vlan->fields.size(), 0);
+        int vlan = program_->vlan_vid.header;
+        if (!ctx.valid[vlan]) {
+          const HeaderType& header = program_->headers[vlan];
+          ctx.valid[vlan] = true;
+          std::fill_n(ctx.values.begin() + header.offset, header.fields.size(),
+                      0);
           // vlan.etherType inherits the ethernet etherType; ethernet's
           // becomes 0x8100.
-          NERPA_ASSIGN_OR_RETURN(
-              uint64_t ether_type,
-              ReadField(ctx, FieldRef("ethernet.etherType")));
+          NERPA_RETURN_IF_ERROR(WriteField(
+              ctx, program_->vlan_type,
+              ReadField(ctx, program_->ethernet_type)));
           NERPA_RETURN_IF_ERROR(
-              WriteField(ctx, FieldRef("vlan.etherType"), ether_type));
-          NERPA_RETURN_IF_ERROR(
-              WriteField(ctx, FieldRef("ethernet.etherType"), 0x8100));
+              WriteField(ctx, program_->ethernet_type, 0x8100));
         }
         NERPA_RETURN_IF_ERROR(
-            WriteField(ctx, FieldRef("vlan.vid"), arg_value(op)));
+            WriteField(ctx, program_->vlan_vid, arg_value(op)));
         break;
       }
       case ActionOp::Kind::kPopVlan: {
-        auto it = ctx.headers.find("vlan");
-        if (it != ctx.headers.end() && it->second.valid) {
-          NERPA_ASSIGN_OR_RETURN(
-              uint64_t ether_type,
-              ReadField(ctx, FieldRef("vlan.etherType")));
-          it->second.valid = false;
+        int vlan = program_->vlan_vid.header;
+        if (ctx.valid[vlan]) {
+          uint64_t ether_type = ReadField(ctx, program_->vlan_type);
+          ctx.valid[vlan] = false;
           NERPA_RETURN_IF_ERROR(
-              WriteField(ctx, FieldRef("ethernet.etherType"), ether_type));
+              WriteField(ctx, program_->ethernet_type, ether_type));
         }
         break;
       }
@@ -278,26 +215,21 @@ Status Switch::RunControl(Ctx& ctx, const std::vector<ControlNode>& nodes) {
   for (const ControlNode& node : nodes) {
     if (ctx.dropped) return Status::Ok();
     if (node.kind == ControlNode::Kind::kApply) {
-      NERPA_RETURN_IF_ERROR(ApplyTable(ctx, *program_->FindTable(node.table)));
+      NERPA_RETURN_IF_ERROR(ApplyTable(ctx, node.table_index));
       continue;
     }
     bool taken = false;
     switch (node.pred) {
       case ControlNode::Pred::kFieldEq:
-      case ControlNode::Pred::kFieldNe: {
-        NERPA_ASSIGN_OR_RETURN(uint64_t value,
-                               ReadField(ctx, node.cond_field));
-        taken = (value == node.cond_value) ==
+      case ControlNode::Pred::kFieldNe:
+        taken = (ReadField(ctx, node.cond_field.slot) == node.cond_value) ==
                 (node.pred == ControlNode::Pred::kFieldEq);
         break;
-      }
       case ControlNode::Pred::kHeaderValid:
-      case ControlNode::Pred::kHeaderInvalid: {
-        auto it = ctx.headers.find(node.cond_header);
-        bool valid = it != ctx.headers.end() && it->second.valid;
-        taken = valid == (node.pred == ControlNode::Pred::kHeaderValid);
+      case ControlNode::Pred::kHeaderInvalid:
+        taken = ctx.valid[node.header_index] ==
+                (node.pred == ControlNode::Pred::kHeaderValid);
         break;
-      }
     }
     NERPA_RETURN_IF_ERROR(
         RunControl(ctx, taken ? node.then_branch : node.else_branch));
@@ -305,24 +237,25 @@ Status Switch::RunControl(Ctx& ctx, const std::vector<ControlNode>& nodes) {
   return Status::Ok();
 }
 
-net::Packet Switch::Deparse(const Ctx& ctx) const {
-  net::PacketWriter writer;
-  for (const std::string& header_name : program_->deparser) {
-    auto it = ctx.headers.find(header_name);
-    if (it == ctx.headers.end() || !it->second.valid) continue;
-    const HeaderType* header = program_->FindHeader(header_name);
-    for (size_t f = 0; f < header->fields.size(); ++f) {
-      writer.WriteBits(it->second.values[f], header->fields[f].width);
+net::Packet Switch::Deparse(const Ctx& ctx, const net::Packet& in) const {
+  net::PacketWriter writer(in.size() + 4);  // room for a pushed 802.1Q tag
+  for (int index : program_->deparser_headers) {
+    if (!ctx.valid[index]) continue;
+    const HeaderType& header = program_->headers[index];
+    for (size_t f = 0; f < header.fields.size(); ++f) {
+      writer.WriteBits(ctx.values[header.offset + f], header.fields[f].width);
     }
   }
-  writer.WriteBytes(ctx.payload.data(), ctx.payload.size());
+  writer.WriteBytes(in.data() + ctx.payload, in.size() - ctx.payload);
   return writer.Finish();
 }
 
 Result<std::vector<PacketOut>> Switch::ProcessPacket(const PacketIn& in) {
   ++stats_.packets_in;
   Ctx ctx;
-  ctx.ingress_port = in.port;
+  ctx.values.assign(program_->slot_count, 0);
+  ctx.valid.assign(program_->headers.size(), false);
+  ctx.values[kIngressPortSlot] = in.port;
   Status parsed = RunParser(ctx, in.packet);
   if (!parsed.ok()) {
     ++stats_.parse_errors;
@@ -332,30 +265,33 @@ Result<std::vector<PacketOut>> Switch::ProcessPacket(const PacketIn& in) {
 
   std::vector<PacketOut> out;
   auto egress_one = [&](Ctx replica, uint64_t port) -> Status {
-    replica.egress_port = port;
-    replica.mcast_grp = 0;
+    replica.values[kEgressPortSlot] = port;
+    replica.values[kMcastGrpSlot] = 0;
     NERPA_RETURN_IF_ERROR(RunControl(replica, program_->egress));
-    if (replica.dropped || replica.egress_port == kDropPort) {
+    port = replica.values[kEgressPortSlot];
+    if (replica.dropped || port == kDropPort) {
       ++stats_.dropped;
       return Status::Ok();
     }
-    out.push_back(PacketOut{replica.egress_port, Deparse(replica)});
+    out.push_back(PacketOut{port, Deparse(replica, in.packet)});
     return Status::Ok();
   };
 
+  uint64_t egress_port = ctx.values[kEgressPortSlot];
+  uint64_t mcast_grp = ctx.values[kMcastGrpSlot];
   if (ctx.dropped) {
     ++stats_.dropped;
-  } else if (ctx.mcast_grp != 0) {
-    const std::vector<uint64_t>* ports = GetMulticastGroup(
-        static_cast<uint32_t>(ctx.mcast_grp));
+  } else if (mcast_grp != 0) {
+    const std::vector<uint64_t>* ports =
+        GetMulticastGroup(static_cast<uint32_t>(mcast_grp));
     if (ports != nullptr) {
       for (uint64_t port : *ports) {
-        if (port == ctx.ingress_port) continue;  // source pruning
+        if (port == in.port) continue;  // source pruning
         NERPA_RETURN_IF_ERROR(egress_one(ctx, port));
       }
     }
-  } else if (ctx.unicast_set && ctx.egress_port != kDropPort) {
-    NERPA_RETURN_IF_ERROR(egress_one(ctx, ctx.egress_port));
+  } else if (ctx.unicast_set && egress_port != kDropPort) {
+    NERPA_RETURN_IF_ERROR(egress_one(ctx, egress_port));
   } else {
     ++stats_.dropped;  // nobody claimed the packet
   }
@@ -369,7 +305,11 @@ Result<std::vector<PacketOut>> Switch::ProcessPacket(const PacketIn& in) {
 }
 
 std::vector<DigestMessage> Switch::TakeDigests() {
-  std::vector<DigestMessage> out = std::move(digests_);
+  std::vector<DigestMessage> out;
+  out.reserve(digests_.size());
+  for (auto& [digest, fields] : digests_) {
+    out.push_back(DigestMessage{digest->name, std::move(fields)});
+  }
   digests_.clear();
   return out;
 }

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -96,37 +97,31 @@ class Switch {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct HeaderInstance {
-    bool valid = false;
-    std::vector<uint64_t> values;  // parallel to HeaderType::fields
-  };
-
-  /// Per-packet execution context.
+  /// Per-packet execution context, laid out by the program's resolved
+  /// slots (FieldSlot).  The payload stays in the input packet.
   struct Ctx {
-    std::map<std::string, HeaderInstance> headers;
-    std::map<std::string, uint64_t> metadata;
-    uint64_t ingress_port = 0;
-    uint64_t egress_port = 0;
-    uint64_t mcast_grp = 0;
+    std::vector<uint64_t> values;  // standard, metadata, header fields
+    std::vector<bool> valid;       // per header
     bool unicast_set = false;
     bool dropped = false;
     std::vector<uint64_t> clone_ports;  // SPAN copies of the original frame
-    std::vector<uint8_t> payload;  // bytes beyond the parsed headers
+    size_t payload = 0;  // offset of the bytes beyond the parsed headers
   };
 
   Status RunParser(Ctx& ctx, const net::Packet& packet);
   Status RunControl(Ctx& ctx, const std::vector<ControlNode>& nodes);
-  Status ApplyTable(Ctx& ctx, const Table& table);
+  Status ApplyTable(Ctx& ctx, int table);
   Status ExecAction(Ctx& ctx, const Action& action,
                     const std::vector<uint64_t>& args);
-  Result<uint64_t> ReadField(const Ctx& ctx, const FieldRef& ref) const;
-  Status WriteField(Ctx& ctx, const FieldRef& ref, uint64_t value);
-  net::Packet Deparse(const Ctx& ctx) const;
+  uint64_t ReadField(const Ctx& ctx, const FieldSlot& slot) const;
+  Status WriteField(Ctx& ctx, const FieldSlot& slot, uint64_t value) const;
+  net::Packet Deparse(const Ctx& ctx, const net::Packet& in) const;
 
   std::shared_ptr<const P4Program> program_;
-  std::map<std::string, TableState> tables_;
+  std::vector<TableState> tables_;  // parallel to program_->tables
+  std::vector<uint64_t> key_;       // lookup key, reused across tables
   std::map<uint32_t, std::vector<uint64_t>> multicast_;
-  std::vector<DigestMessage> digests_;
+  std::vector<std::pair<const Digest*, std::vector<uint64_t>>> digests_;
   Stats stats_;
   uint64_t fence_epoch_ = 0;
   uint64_t stale_writes_ = 0;

@@ -4,6 +4,27 @@
 
 namespace nerpa::p4 {
 
+namespace {
+
+constexpr int kFirstMetadataSlot = kMcastGrpSlot + 1;
+
+/// Index of the element called `name`, or -1.
+template <typename T>
+int IndexOf(const std::vector<T>& items, std::string_view name) {
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (items[i].name == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+template <typename T>
+const T* Find(const std::vector<T>& items, std::string_view name) {
+  int index = IndexOf(items, name);
+  return index < 0 ? nullptr : &items[index];
+}
+
+}  // namespace
+
 const char* MatchKindName(MatchKind kind) {
   switch (kind) {
     case MatchKind::kExact: return "exact";
@@ -16,10 +37,7 @@ const char* MatchKindName(MatchKind kind) {
 }
 
 int HeaderType::FindField(std::string_view field) const {
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (fields[i].name == field) return static_cast<int>(i);
-  }
-  return -1;
+  return IndexOf(fields, field);
 }
 
 int HeaderType::TotalBits() const {
@@ -114,10 +132,7 @@ ActionOp ActionOp::PopVlan() {
 }
 
 int Action::FindParam(std::string_view param) const {
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (params[i].name == param) return static_cast<int>(i);
-  }
-  return -1;
+  return IndexOf(params, param);
 }
 
 ControlNode ControlNode::Apply(std::string table) {
@@ -153,90 +168,88 @@ ControlNode ControlNode::IfHeaderValid(std::string header,
 }
 
 const HeaderType* P4Program::FindHeader(std::string_view name) const {
-  for (const HeaderType& h : headers) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
+  return Find(headers, name);
 }
 
 const Table* P4Program::FindTable(std::string_view name) const {
-  for (const Table& t : tables) {
-    if (t.name == name) return &t;
-  }
-  return nullptr;
+  return Find(tables, name);
 }
 
 const Action* P4Program::FindAction(std::string_view name) const {
-  for (const Action& a : actions) {
-    if (a.name == name) return &a;
-  }
-  return nullptr;
+  return Find(actions, name);
 }
 
 const Digest* P4Program::FindDigest(std::string_view name) const {
-  for (const Digest& d : digests) {
-    if (d.name == name) return &d;
-  }
-  return nullptr;
+  return Find(digests, name);
 }
 
 const ParserState* P4Program::FindParserState(std::string_view name) const {
-  for (const ParserState& s : parser) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
+  return Find(parser, name);
 }
 
-Result<int> P4Program::FieldWidth(const FieldRef& ref) const {
+Result<FieldSlot> P4Program::Resolve(const FieldRef& ref) const {
   size_t dot = ref.text.find('.');
   if (dot == std::string::npos) {
     return InvalidArgument("malformed field reference '" + ref.text + "'");
   }
-  std::string space = ref.text.substr(0, dot);
-  std::string field = ref.text.substr(dot + 1);
+  std::string_view space = std::string_view(ref.text).substr(0, dot);
+  std::string_view field = std::string_view(ref.text).substr(dot + 1);
   if (space == "standard") {
-    if (field == "ingress_port" || field == "egress_port" ||
-        field == "mcast_grp") {
-      return kStandardFieldWidth;
+    static constexpr std::string_view kStandard[] = {
+        "ingress_port", "egress_port", "mcast_grp"};  // by slot
+    for (int slot = 0; slot < kFirstMetadataSlot; ++slot) {
+      if (field == kStandard[slot]) {
+        return FieldSlot{slot, -1, kStandardFieldWidth};
+      }
     }
-    return NotFound("unknown standard metadata field '" + field + "'");
-  }
-  if (space == "meta") {
-    for (const P4Field& f : metadata) {
-      if (f.name == field) return f.width;
+  } else if (space == "meta") {
+    int index = IndexOf(metadata, field);
+    if (index >= 0) {
+      return FieldSlot{kFirstMetadataSlot + index, -1, metadata[index].width};
     }
-    return NotFound("unknown metadata field '" + field + "'");
+  } else if (int header = IndexOf(headers, space); header >= 0) {
+    const HeaderType& type = headers[header];
+    int index = type.FindField(field);
+    if (index >= 0) {
+      return FieldSlot{type.offset + index, header, type.fields[index].width};
+    }
   }
-  const HeaderType* header = FindHeader(space);
-  if (header == nullptr) return NotFound("unknown header '" + space + "'");
-  int index = header->FindField(field);
-  if (index < 0) {
-    return NotFound(StrFormat("no field '%s' in header '%s'", field.c_str(),
-                              space.c_str()));
-  }
-  return header->fields[static_cast<size_t>(index)].width;
+  return NotFound("unknown field '" + ref.text + "'");
 }
 
 namespace {
 
-Status ValidateControl(const P4Program& program,
-                       const std::vector<ControlNode>& nodes) {
-  for (const ControlNode& node : nodes) {
+/// Index of the element called `name`, or a NotFound naming `what`.
+template <typename T>
+Result<int> Require(const std::vector<T>& items, std::string_view name,
+                   const char* what) {
+  int index = IndexOf(items, name);
+  if (index < 0) {
+    return NotFound(StrFormat("unknown %s '%.*s'", what,
+                              static_cast<int>(name.size()), name.data()));
+  }
+  return index;
+}
+
+Status ResolveControl(const P4Program& program,
+                      std::vector<ControlNode>& nodes) {
+  for (ControlNode& node : nodes) {
     if (node.kind == ControlNode::Kind::kApply) {
-      if (program.FindTable(node.table) == nullptr) {
-        return NotFound("control applies unknown table '" + node.table + "'");
-      }
-    } else {
-      if (node.pred == ControlNode::Pred::kFieldEq ||
-          node.pred == ControlNode::Pred::kFieldNe) {
-        NERPA_RETURN_IF_ERROR(program.FieldWidth(node.cond_field).status());
-      } else if (program.FindHeader(node.cond_header) == nullptr) {
-        return NotFound("condition on unknown header '" + node.cond_header +
-                        "'");
-      }
-      NERPA_RETURN_IF_ERROR(ValidateControl(program, node.then_branch));
-      NERPA_RETURN_IF_ERROR(ValidateControl(program, node.else_branch));
+      NERPA_ASSIGN_OR_RETURN(node.table_index,
+                             Require(program.tables, node.table, "table"));
+      continue;
     }
+    if (node.pred == ControlNode::Pred::kFieldEq ||
+        node.pred == ControlNode::Pred::kFieldNe) {
+      NERPA_ASSIGN_OR_RETURN(node.cond_field.slot,
+                             program.Resolve(node.cond_field));
+    } else {
+      NERPA_ASSIGN_OR_RETURN(
+          node.header_index,
+          Require(program.headers, node.cond_header, "header"));
+    }
+    NERPA_RETURN_IF_ERROR(ResolveControl(program, node.then_branch));
+    NERPA_RETURN_IF_ERROR(ResolveControl(program, node.else_branch));
   }
   return Status::Ok();
 }
@@ -244,7 +257,10 @@ Status ValidateControl(const P4Program& program,
 }  // namespace
 
 Status P4Program::Validate() {
-  for (const HeaderType& header : headers) {
+  slot_count = kFirstMetadataSlot + static_cast<int>(metadata.size());
+  for (HeaderType& header : headers) {
+    header.offset = slot_count;
+    slot_count += static_cast<int>(header.fields.size());
     for (const P4Field& field : header.fields) {
       if (field.width < 1 || field.width > 64) {
         return ConstraintError(StrFormat("field %s.%s width %d out of range",
@@ -254,50 +270,63 @@ Status P4Program::Validate() {
     }
   }
   if (parser.empty()) return ConstraintError("parser has no states");
-  for (const ParserState& state : parser) {
-    if (!state.extracts.empty() && FindHeader(state.extracts) == nullptr) {
-      return NotFound("parser extracts unknown header '" + state.extracts +
-                      "'");
+  for (ParserState& state : parser) {
+    if (!state.extracts.empty()) {
+      NERPA_ASSIGN_OR_RETURN(state.header,
+                             Require(headers, state.extracts, "header"));
     }
     if (!state.select.text.empty()) {
-      NERPA_RETURN_IF_ERROR(FieldWidth(state.select).status());
+      NERPA_ASSIGN_OR_RETURN(state.select.slot, Resolve(state.select));
     }
-    for (const ParserState::Transition& t : state.transitions) {
-      if (t.next != "accept" && t.next != "reject" &&
-          FindParserState(t.next) == nullptr) {
-        return NotFound("parser transition to unknown state '" + t.next + "'");
+    for (ParserState::Transition& t : state.transitions) {
+      if (t.next == "accept" || t.next == "reject") {
+        t.target = t.next == "accept" ? ParserState::kAccept
+                                      : ParserState::kReject;
+      } else {
+        NERPA_ASSIGN_OR_RETURN(t.target,
+                               Require(parser, t.next, "parser state"));
       }
     }
   }
-  for (const Action& action : actions) {
-    for (const ActionOp& op : action.ops) {
-      if (!op.param.empty() && action.FindParam(op.param) < 0) {
-        return NotFound(StrFormat("action %s uses unknown parameter '%s'",
-                                  action.name.c_str(), op.param.c_str()));
+  for (Action& action : actions) {
+    for (ActionOp& op : action.ops) {
+      if (!op.param.empty()) {
+        NERPA_ASSIGN_OR_RETURN(op.param_index,
+                               Require(action.params, op.param, "parameter"));
       }
-      switch (op.kind) {
-        case ActionOp::Kind::kSetFieldConst:
-        case ActionOp::Kind::kSetFieldParam:
-          NERPA_RETURN_IF_ERROR(FieldWidth(op.dest).status());
-          break;
-        case ActionOp::Kind::kCopyField:
-          NERPA_RETURN_IF_ERROR(FieldWidth(op.dest).status());
-          NERPA_RETURN_IF_ERROR(FieldWidth(op.src).status());
-          break;
-        case ActionOp::Kind::kDigest:
-          if (FindDigest(op.digest_name) == nullptr) {
-            return NotFound("action emits unknown digest '" + op.digest_name +
-                            "'");
-          }
-          break;
-        default:
-          break;
+      using Kind = ActionOp::Kind;
+      if (op.kind == Kind::kCopyField) {
+        NERPA_ASSIGN_OR_RETURN(op.src.slot, Resolve(op.src));
       }
+      if (op.kind == Kind::kSetFieldConst || op.kind == Kind::kSetFieldParam ||
+          op.kind == Kind::kCopyField) {
+        NERPA_ASSIGN_OR_RETURN(op.dest.slot, Resolve(op.dest));
+        if (op.dest.slot.index == kIngressPortSlot) {
+          return ConstraintError(
+              StrFormat("action %s writes read-only field '%s'",
+                        action.name.c_str(), op.dest.text.c_str()));
+        }
+      } else if (op.kind == Kind::kDigest) {
+        NERPA_ASSIGN_OR_RETURN(op.digest,
+                               Require(digests, op.digest_name, "digest"));
+      } else if (op.kind == Kind::kPushVlan || op.kind == Kind::kPopVlan) {
+        NERPA_ASSIGN_OR_RETURN(ethernet_type, Resolve("ethernet.etherType"));
+        NERPA_ASSIGN_OR_RETURN(vlan_type, Resolve("vlan.etherType"));
+        NERPA_ASSIGN_OR_RETURN(vlan_vid, Resolve("vlan.vid"));
+      }
+    }
+  }
+  for (Digest& digest : digests) {
+    digest.slots.clear();
+    for (const P4Field& field : digest.fields) {
+      NERPA_ASSIGN_OR_RETURN(FieldSlot slot, Resolve(field.name));
+      digest.slots.push_back(slot);
     }
   }
   for (Table& table : tables) {
     for (TableKey& key : table.keys) {
-      NERPA_ASSIGN_OR_RETURN(key.width, FieldWidth(key.field));
+      NERPA_ASSIGN_OR_RETURN(key.field.slot, Resolve(key.field));
+      key.width = key.field.slot.width;
     }
     for (const std::string& action : table.actions) {
       if (FindAction(action) == nullptr) {
@@ -306,11 +335,10 @@ Status P4Program::Validate() {
       }
     }
     if (!table.default_action.empty()) {
-      const Action* action = FindAction(table.default_action);
-      if (action == nullptr) {
-        return NotFound("unknown default action '" + table.default_action +
-                        "'");
-      }
+      NERPA_ASSIGN_OR_RETURN(
+          table.default_index,
+          Require(actions, table.default_action, "default action"));
+      const Action* action = &actions[table.default_index];
       if (table.default_action_args.size() != action->params.size()) {
         return ConstraintError(StrFormat(
             "default action %s of table %s needs %zu arguments, got %zu",
@@ -319,13 +347,13 @@ Status P4Program::Validate() {
       }
     }
   }
+  deparser_headers.clear();
   for (const std::string& header : deparser) {
-    if (FindHeader(header) == nullptr) {
-      return NotFound("deparser emits unknown header '" + header + "'");
-    }
+    NERPA_ASSIGN_OR_RETURN(int index, Require(headers, header, "header"));
+    deparser_headers.push_back(index);
   }
-  NERPA_RETURN_IF_ERROR(ValidateControl(*this, ingress));
-  NERPA_RETURN_IF_ERROR(ValidateControl(*this, egress));
+  NERPA_RETURN_IF_ERROR(ResolveControl(*this, ingress));
+  NERPA_RETURN_IF_ERROR(ResolveControl(*this, egress));
   return Status::Ok();
 }
 

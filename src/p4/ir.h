@@ -29,15 +29,30 @@ struct P4Field {
 struct HeaderType {
   std::string name;
   std::vector<P4Field> fields;
+  int offset = 0;  // slot of the first field (see FieldSlot)
 
   int FindField(std::string_view field) const;
   int TotalBits() const;
 };
 
+/// Where P4Program::Validate() placed a field in the interpreter's flat
+/// per-packet value vector: the three standard fields, then the metadata,
+/// then each header's fields from its `offset`.  `header` is the owning
+/// header's index, or -1 for standard and metadata fields.
+struct FieldSlot {
+  int index = -1;
+  int header = -1;
+  int width = 0;
+};
+inline constexpr int kIngressPortSlot = 0;  // read-only
+inline constexpr int kEgressPortSlot = 1;
+inline constexpr int kMcastGrpSlot = 2;
+
 /// A reference to a field: "ethernet.dstAddr", "meta.vlan", or
 /// "standard.ingress_port" / "standard.egress_port" etc.
 struct FieldRef {
   std::string text;
+  FieldSlot slot;  // resolved by Validate()
 
   FieldRef() = default;
   FieldRef(std::string t) : text(std::move(t)) {}  // NOLINT(runtime/explicit)
@@ -49,14 +64,19 @@ struct FieldRef {
 
 /// Parser state: optionally extract one header, then branch on a field.
 struct ParserState {
+  static constexpr int kAccept = -1;
+  static constexpr int kReject = -2;
+
   std::string name;
   std::string extracts;  // header type name to extract; "" = none
+  int header = -1;       // index of `extracts`, resolved by Validate()
   int line = 0;  // source span of the state name (0 = built in code)
   int col = 0;
 
   struct Transition {
     std::optional<uint64_t> match;  // nullopt = default
     std::string next;               // state name, or "accept" / "reject"
+    int target = kAccept;           // index of `next`, or kAccept / kReject
   };
   FieldRef select;                  // empty text = unconditional
   std::vector<Transition> transitions;
@@ -92,6 +112,8 @@ struct ActionOp {
   uint64_t immediate = 0;
   std::string param;  // non-empty: take the value from this action parameter
   std::string digest_name;
+  int param_index = -1;  // resolved by Validate()
+  int digest = -1;       // index of `digest_name`, resolved by Validate()
 
   static ActionOp SetField(FieldRef dest, uint64_t value);
   static ActionOp SetFieldFromParam(FieldRef dest, std::string param);
@@ -130,13 +152,15 @@ struct Table {
   std::vector<std::string> actions;  // names of permitted actions
   std::string default_action;        // applied on miss ("" = no-op)
   std::vector<uint64_t> default_action_args;
+  int default_index = -1;            // resolved by Validate()
   size_t size = 1024;
 };
 
 /// Digest declaration: the data-plane-to-control-plane notification type.
 struct Digest {
   std::string name;
-  std::vector<P4Field> fields;
+  std::vector<P4Field> fields;  // each named by the FieldRef text it reads
+  std::vector<FieldSlot> slots;  // of `fields`, resolved by Validate()
   int line = 0;  // source span of the digest name (0 = built in code)
   int col = 0;
 };
@@ -147,6 +171,7 @@ struct ControlNode {
   Kind kind = Kind::kApply;
 
   std::string table;  // kApply
+  int table_index = -1;  // resolved by Validate()
 
   // kConditional:
   enum class Pred { kFieldEq, kFieldNe, kHeaderValid, kHeaderInvalid };
@@ -154,6 +179,7 @@ struct ControlNode {
   FieldRef cond_field;       // kFieldEq/kFieldNe
   uint64_t cond_value = 0;
   std::string cond_header;   // kHeaderValid/kHeaderInvalid
+  int header_index = -1;     // resolved by Validate()
   std::vector<ControlNode> then_branch;
   std::vector<ControlNode> else_branch;
 
@@ -179,17 +205,27 @@ struct P4Program {
   std::vector<ControlNode> egress;
   std::vector<std::string> deparser;  // header emit order
 
+  // Resolved by Validate(): the size of the per-packet value vector, the
+  // deparser's header indices, and the conventional fields that push_vlan
+  // and pop_vlan rewrite.
+  int slot_count = 0;
+  std::vector<int> deparser_headers;
+  FieldSlot ethernet_type, vlan_type, vlan_vid;
+
   const HeaderType* FindHeader(std::string_view name) const;
   const Table* FindTable(std::string_view name) const;
   const Action* FindAction(std::string_view name) const;
   const Digest* FindDigest(std::string_view name) const;
   const ParserState* FindParserState(std::string_view name) const;
 
-  /// Width in bits of a field reference; error if unresolvable.
-  Result<int> FieldWidth(const FieldRef& ref) const;
+  /// The slot of a field reference; error if unresolvable.  Header offsets
+  /// must already be laid out, as Validate() does first.
+  Result<FieldSlot> Resolve(const FieldRef& ref) const;
 
-  /// Checks internal consistency and resolves table-key widths.  Must be
-  /// called (once) before the program is interpreted or bound.
+  /// Checks internal consistency and resolves every name the pipeline uses
+  /// (fields to slots, headers, states, tables, actions, parameters and
+  /// digests to indices).  Must be called before the program is
+  /// interpreted or bound, and again after any edit.
   Status Validate();
 
   /// Pretty P4-ish source listing (for docs and the LOC table).

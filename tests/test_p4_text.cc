@@ -2,6 +2,9 @@
 // through ToP4Text, and semantic equivalence of the parsed snvs pipeline.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/strings.h"
 #include "p4/interpreter.h"
 #include "p4/text.h"
 #include "snvs/snvs.h"
@@ -136,6 +139,74 @@ TEST(P4Text, Diagnostics) {
     action A() { digest(Nothing); }
     deparser { }
   )p4").ok());
+  // Two programs that would misbehave on every packet are rejected at
+  // load, naming the field: a digest over a field that does not exist
+  // (it would carry 0), and a write to the read-only ingress port (every
+  // packet would fail).  The first case is the valid control.
+  struct Case {
+    const char* digest_field;
+    const char* statement;
+    const char* named;  // nullptr: the program is valid
+  };
+  for (const Case& c :
+       {Case{"meta.m", "digest(D);", nullptr},
+        Case{"meta.nosuch", "digest(D);", "meta.nosuch"},
+        Case{"meta.m", "standard.ingress_port = 3;",
+             "standard.ingress_port"}}) {
+    std::string source = StrFormat(R"p4(
+      header h { bit<8> x; }
+      metadata { bit<4> m; }
+      digest D { %s: bit<4>; }
+      parser { state start { extract(h); goto accept; } }
+      action A() { %s }
+      table T { key = { h.x: exact; } actions = { A; } }
+      ingress { apply(T); }
+      deparser { emit(h); }
+    )p4", c.digest_field, c.statement);
+    auto program = ParseP4Text(source);
+    EXPECT_EQ(program.ok(), c.named == nullptr) << source;
+    if (!program.ok() && c.named != nullptr) {
+      EXPECT_NE(program.status().message().find(c.named), std::string::npos)
+          << program.status().ToString();
+    }
+  }
+}
+
+TEST(P4Text, WritesKeepToTheFieldWidth) {
+  // Every store into a bit<w> field keeps its low w bits: a header field,
+  // a metadata field and the standard egress port alike.
+  auto program = ParseP4Text(R"p4(
+    header ethernet { bit<48> dstAddr; bit<48> srcAddr; bit<16> etherType; }
+    metadata { bit<4> m; }
+    parser { state start { extract(ethernet); goto accept; } }
+    action Mark() { meta.m = 0x1f; ethernet.etherType = 0x1ffff; }
+    action Send() { standard.egress_port = 0x10007; }
+    action Stray() { output(9); }
+    table Classify { key = { ethernet.srcAddr: exact; } actions = { Mark; }
+                     default_action = Mark; }
+    table Fwd { key = { meta.m: exact; } actions = { Send; }
+                default_action = Stray; }
+    ingress { apply(Classify); apply(Fwd); }
+    egress { }
+    deparser { emit(ethernet); }
+  )p4");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Switch device(*program);
+  TableEntry send;
+  send.table = "Fwd";
+  send.match = {MatchField::Exact(0xF)};
+  send.action = "Send";
+  ASSERT_TRUE(device.GetTable("Fwd")->Insert(send).ok());
+  net::Packet frame = net::MakeEthernetFrame(
+      net::Mac(0, 0, 0, 0, 0, 0xBB), net::Mac(0, 0, 0, 0, 0, 0xAA), 0x0800,
+      {1, 2});
+  auto out = device.ProcessPacket(PacketIn{1, frame});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), 1u);
+  EXPECT_EQ((*out)[0].port, 7u);  // meta.m == 0xf hit Fwd; 0x10007 -> 7
+  net::PacketReader reader((*out)[0].packet);
+  ASSERT_TRUE(reader.Skip(12));
+  EXPECT_EQ(*reader.ReadU16(), 0xFFFFu);
 }
 
 TEST(P4Text, NegatedValidAndFieldConditions) {
