@@ -227,4 +227,11 @@ Result<StackDef> GetStack(std::string_view name) {
                             static_cast<int>(name.size()), name.data()));
 }
 
+Result<std::string> StackProgram(const StackDef& def) {
+  if (!def.schema || def.p4 == nullptr) return def.rules;
+  NERPA_ASSIGN_OR_RETURN(Bindings bindings,
+                         GenerateBindings(*def.schema, *def.p4, def.options));
+  return bindings.DeclsText() + def.rules;
+}
+
 }  // namespace nerpa::examples

@@ -42,6 +42,11 @@ Result<StackDef> GetStack(std::string_view name);
 /// All packaged stack names, in a stable order.
 std::vector<std::string> StackNames();
 
+/// The stack's whole control-plane program: the relation declarations its
+/// bindings generate (when it has both a schema and a pipeline), then its
+/// rules.
+Result<std::string> StackProgram(const StackDef& def);
+
 // Ingredients of the ip_fabric and multi_device examples, shared with their
 // demo binaries so example and analysis never drift apart.
 ovsdb::DatabaseSchema FabricSchema();

@@ -14,8 +14,9 @@
 //     in the post-transaction state and literals to its right in the
 //     pre-transaction state (the standard bilinear expansion).
 //   * Arrangements: hash indexes on (relation, key positions), planned at
-//     compile time and maintained incrementally; these are the memory cost
-//     the paper's load-balancer worst case measures (§2.2).
+//     compile time for the lookups that run after the first commit and
+//     maintained incrementally; these are the memory cost the paper's
+//     load-balancer worst case measures (§2.2).
 //   * Stratified negation as incremental antijoin via per-arrangement
 //     presence flips.
 //   * Incremental group-by aggregation with persistent per-group state.
@@ -158,9 +159,11 @@ class Engine {
   struct Arrangement {
     std::unordered_map<Row, RowSet, RowHash, RowEq> index;
     // Per-transaction presence flips of keys: +1 bucket became non-empty,
-    // -1 became empty.  Drives pinned negated literals.
+    // -1 became empty.  Drives pinned negated literals; kept only when the
+    // spec's records_flips says one reads them.
     std::unordered_map<Row, int, RowHash, RowEq> flips;
-    // Per-transaction deleted rows by key, for OLD-state lookups.
+    // Per-transaction deleted rows by key, for OLD-state lookups; kept only
+    // when the spec's records_deleted says one reads them.
     std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> deleted;
   };
 

@@ -753,10 +753,33 @@ class Compiler {
     return static_cast<int>(specs.size()) - 1;
   }
 
+  /// The registered arrangement on `relation` whose key covers the most of
+  /// the sorted positions `known` and nothing else, or -1.
+  int FindCoveringArrangement(int relation,
+                              const std::vector<int>& known) const {
+    const auto& specs = program_.arrangements_[static_cast<size_t>(relation)];
+    int best = -1;
+    size_t best_size = 0;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const std::vector<int>& key = specs[i].key_positions;
+      if (key.size() > best_size &&
+          std::includes(known.begin(), known.end(), key.begin(), key.end())) {
+        best = static_cast<int>(i);
+        best_size = key.size();
+      }
+    }
+    return best;
+  }
+
   /// Builds the lookup plan for `step` given the currently-bound slots, and
-  /// adds the slots the step binds.
+  /// adds the slots the step binds.  With `register_key`, the lookup is
+  /// keyed on every known position and registers that arrangement.  Without
+  /// it (plans that run only in the bootstrap), it reuses the registered
+  /// arrangement covering the most known positions, or scans.  A negated
+  /// literal's key is all its positions but wildcards in every plan, and
+  /// its delta plans registered it, so registering again only finds it.
   LookupPlan PlanLookup(int step_index, const StepPlan& step,
-                        std::set<int>& bound) {
+                        std::set<int>& bound, bool register_key) {
     LookupPlan plan;
     plan.step_index = step_index;
     for (size_t p = 0; p < step.terms.size(); ++p) {
@@ -767,8 +790,18 @@ class Compiler {
                     bound.count(term.slot) != 0);
       if (known) plan.key_positions.push_back(static_cast<int>(p));
     }
-    plan.arrangement = RegisterArrangement(step.relation, plan.key_positions);
-    std::sort(plan.key_positions.begin(), plan.key_positions.end());
+    if (register_key || step.negated) {
+      plan.arrangement =
+          RegisterArrangement(step.relation, plan.key_positions);
+    } else {
+      plan.arrangement =
+          FindCoveringArrangement(step.relation, plan.key_positions);
+      plan.key_positions.clear();
+      if (plan.arrangement >= 0) {
+        plan.key_positions =
+            Spec(step.relation, plan.arrangement).key_positions;
+      }
+    }
     for (const TermPlan& term : step.terms) {
       if (term.kind == TermPlan::Kind::kBind ||
           term.kind == TermPlan::Kind::kCheckVar) {
@@ -788,82 +821,103 @@ class Compiler {
     }
   }
 
+  /// Plans `rule`'s literals in original body order with `bound` pre-bound.
+  FullPlan PlanInOrder(const CompiledRule& rule, std::set<int> bound,
+                       bool register_keys) {
+    FullPlan plan;
+    for (size_t s = 0; s < rule.steps.size(); ++s) {
+      const StepPlan& step = rule.steps[s];
+      if (step.kind == BodyElem::Kind::kLiteral) {
+        plan.lookups.push_back(
+            PlanLookup(static_cast<int>(s), step, bound, register_keys));
+      } else {
+        AddNonLiteralBindings(step, bound);
+      }
+    }
+    return plan;
+  }
+
+  /// An arrangement exists only because a plan that runs after the first
+  /// commit reads it.  Delta plans run on every commit in every stratum;
+  /// full and re-derivation plans run at steady state only in recursive
+  /// strata (DRed).  A non-recursive rule's full plan runs only in the
+  /// bootstrap, so it is planned last and reuses what the others registered;
+  /// nothing runs its re-derivation plan, so that is not built.
   Status BuildPlans() {
+    auto recursive = [&](const CompiledRule& rule) {
+      int stratum = program_.stratum_of(rule.head_relation);
+      return program_.strata_[static_cast<size_t>(stratum)].recursive;
+    };
     for (CompiledRule& rule : program_.rules_) {
-      // Full plan: original order.
-      {
-        std::set<int> bound;
-        for (size_t s = 0; s < rule.steps.size(); ++s) {
-          const StepPlan& step = rule.steps[s];
-          if (step.kind == BodyElem::Kind::kLiteral) {
-            rule.full_plan.lookups.push_back(
-                PlanLookup(static_cast<int>(s), step, bound));
-          } else {
-            AddNonLiteralBindings(step, bound);
-          }
-        }
+      BuildDeltaPlans(rule, recursive(rule));
+      if (!recursive(rule)) continue;
+      rule.full_plan = PlanInOrder(rule, {}, /*register_keys=*/true);
+      std::set<int> head_bound;
+      for (const TermPlan& term : rule.head_pattern) {
+        if (term.slot >= 0) head_bound.insert(term.slot);
       }
-      // Delta plans: one per literal step (before the aggregate, if any).
-      for (size_t pin = 0; pin < rule.steps.size(); ++pin) {
-        const StepPlan& pinned = rule.steps[pin];
-        if (pinned.kind != BodyElem::Kind::kLiteral) continue;
-        if (rule.has_aggregate &&
-            static_cast<int>(pin) > rule.aggregate_step) {
-          continue;  // unreachable by construction, kept for safety
-        }
-        DeltaPlan plan;
-        plan.pinned_step = static_cast<int>(pin);
-        std::set<int> bound;
-        // The pinned literal provides values at every non-ignored position;
-        // for a negated pin, only at its key (non-ignored) positions —
-        // which is the same set, since negated atoms have no kBind terms.
-        for (const TermPlan& term : pinned.terms) {
-          if (term.slot >= 0) bound.insert(term.slot);
-        }
-        for (size_t s = 0; s < rule.steps.size(); ++s) {
-          if (s == pin) continue;
-          const StepPlan& step = rule.steps[s];
-          if (step.kind == BodyElem::Kind::kLiteral) {
-            plan.lookups.push_back(PlanLookup(static_cast<int>(s), step, bound));
-          } else {
-            AddNonLiteralBindings(step, bound);
-          }
-        }
-        // The pinned negated literal itself also needs an arrangement for
-        // flip tracking, keyed on its non-ignored positions.
-        if (pinned.negated) {
-          std::vector<int> key;
-          for (size_t p = 0; p < pinned.terms.size(); ++p) {
-            if (pinned.terms[p].kind != TermPlan::Kind::kIgnore) {
-              key.push_back(static_cast<int>(p));
-            }
-          }
-          plan.pinned_arrangement =
-              RegisterArrangement(pinned.relation, std::move(key));
-        }
-        rule.delta_plans.push_back(std::move(plan));
+      rule.rederive_plan =
+          PlanInOrder(rule, std::move(head_bound), /*register_keys=*/true);
+    }
+    for (CompiledRule& rule : program_.rules_) {
+      if (!recursive(rule)) {
+        rule.full_plan = PlanInOrder(rule, {}, /*register_keys=*/false);
       }
-      // Re-derivation plan (only meaningful for invertible heads).
-      if (rule.head_invertible) {
-        std::set<int> bound;
-        for (const TermPlan& term : rule.head_pattern) {
-          if (term.slot >= 0) bound.insert(term.slot);
-        }
-        for (size_t s = 0; s < rule.steps.size(); ++s) {
-          const StepPlan& step = rule.steps[s];
-          if (step.kind == BodyElem::Kind::kLiteral) {
-            rule.rederive_plan.lookups.push_back(
-                PlanLookup(static_cast<int>(s), step, bound));
-          } else {
-            AddNonLiteralBindings(step, bound);
-          }
-        }
-      }
-      // Negation presence checks in non-pinned positions also need their
-      // arrangements; PlanLookup above already registered them (key =
-      // non-ignored positions, since negated terms are always bound).
     }
     return Status::Ok();
+  }
+
+  /// One delta plan per literal step, and the per-transaction facts their
+  /// lookups read: a negated pin reads its arrangement's presence flips;
+  /// a lookup reads OLD state right of the pin, or anywhere in a recursive
+  /// stratum (DRed's overdeletion reads every literal OLD).
+  void BuildDeltaPlans(CompiledRule& rule, bool recursive) {
+    for (size_t pin = 0; pin < rule.steps.size(); ++pin) {
+      const StepPlan& pinned = rule.steps[pin];
+      if (pinned.kind != BodyElem::Kind::kLiteral) continue;
+      DeltaPlan plan;
+      plan.pinned_step = static_cast<int>(pin);
+      std::set<int> bound;
+      // The pinned literal provides values at every non-ignored position;
+      // for a negated pin, only at its key (non-ignored) positions — which
+      // is the same set, since negated atoms have no kBind terms.
+      for (const TermPlan& term : pinned.terms) {
+        if (term.slot >= 0) bound.insert(term.slot);
+      }
+      for (size_t s = 0; s < rule.steps.size(); ++s) {
+        if (s == pin) continue;
+        const StepPlan& step = rule.steps[s];
+        if (step.kind != BodyElem::Kind::kLiteral) {
+          AddNonLiteralBindings(step, bound);
+          continue;
+        }
+        LookupPlan lookup = PlanLookup(static_cast<int>(s), step, bound,
+                                       /*register_key=*/true);
+        if (lookup.arrangement >= 0 && (recursive || s > pin)) {
+          Spec(step.relation, lookup.arrangement).records_deleted = true;
+        }
+        plan.lookups.push_back(std::move(lookup));
+      }
+      if (pinned.negated) {
+        std::vector<int> key;
+        for (size_t p = 0; p < pinned.terms.size(); ++p) {
+          if (pinned.terms[p].kind != TermPlan::Kind::kIgnore) {
+            key.push_back(static_cast<int>(p));
+          }
+        }
+        plan.pinned_arrangement =
+            RegisterArrangement(pinned.relation, std::move(key));
+        if (plan.pinned_arrangement >= 0) {
+          Spec(pinned.relation, plan.pinned_arrangement).records_flips = true;
+        }
+      }
+      rule.delta_plans.push_back(std::move(plan));
+    }
+  }
+
+  ArrangementSpec& Spec(int relation, int arrangement) {
+    return program_.arrangements_[static_cast<size_t>(relation)]
+                                 [static_cast<size_t>(arrangement)];
   }
 
   Program program_;
