@@ -392,5 +392,54 @@ TEST(DlogEdge, HopCountedShortestPathUpdates) {
   EXPECT_TRUE(engine.Contains("Dist", R({I(2), I(2)})));
 }
 
+TEST(DlogEdge, Bit64DivisionIsUnsigned) {
+  // A bit<64> operand of 2^63 or more is a large unsigned value, not a
+  // negative one.
+  auto program = MustParse(R"(
+    input relation A(x: bit<64>)
+    output relation D(q: bit<64>, r: bit<64>)
+    D(x / 2, x % 10) :- A(x).
+  )");
+  Engine engine(program);
+  ASSERT_TRUE(engine.Insert("A", R({Value::Bit(UINT64_MAX)})).ok());
+  ASSERT_TRUE(engine.Insert("A", R({Value::Bit(uint64_t{1} << 63)})).ok());
+  ASSERT_TRUE(engine.Commit().ok());
+  EXPECT_EQ(*engine.Dump("D"),
+            (std::vector<Row>{
+                R({Value::Bit(uint64_t{1} << 62), Value::Bit(8)}),
+                R({Value::Bit(INT64_MAX), Value::Bit(5)})}));
+}
+
+TEST(DlogEdge, BigintOverflowWraps) {
+  // bigint arithmetic wraps modulo 2^64.  INT64_MIN / -1 is INT64_MIN and
+  // INT64_MIN % -1 is 0; neither may trap, since one management-plane row
+  // reaches them.
+  auto program = MustParse(R"(
+    input relation A(x: bigint, y: bigint)
+    output relation Q(x: bigint, q: bigint, r: bigint)
+    output relation W(x: bigint, s: bigint, d: bigint, p: bigint, n: bigint,
+                      a: bigint)
+    Q(x, z, m) :- A(x, y), var w = x - 1, var z = w / y, var m = w % y.
+    W(x, x + y, x - y, x * y, -x, abs(x)) :- A(x, y).
+  )");
+  Engine engine(program);
+  ASSERT_TRUE(engine.Insert("A", R({I(-INT64_MAX), I(-1)})).ok());
+  ASSERT_TRUE(engine.Insert("A", R({I(INT64_MIN), I(2)})).ok());
+  ASSERT_TRUE(engine.Insert("A", R({I(INT64_MAX), I(INT64_MAX)})).ok());
+  ASSERT_TRUE(engine.Commit().ok());
+  EXPECT_EQ(*engine.Dump("Q"),
+            (std::vector<Row>{R({I(INT64_MIN), I(INT64_MAX / 2), I(1)}),
+                              R({I(-INT64_MAX), I(INT64_MIN), I(0)}),
+                              R({I(INT64_MAX), I(0), I(INT64_MAX - 1)})}));
+  EXPECT_EQ(*engine.Dump("W"),
+            (std::vector<Row>{
+                R({I(INT64_MIN), I(INT64_MIN + 2), I(INT64_MAX - 1), I(0),
+                   I(INT64_MIN), I(INT64_MIN)}),
+                R({I(-INT64_MAX), I(INT64_MIN), I(-INT64_MAX + 1),
+                   I(INT64_MAX), I(INT64_MAX), I(INT64_MAX)}),
+                R({I(INT64_MAX), I(-2), I(0), I(1), I(-INT64_MAX),
+                   I(INT64_MAX)})}));
+}
+
 }  // namespace
 }  // namespace nerpa::dlog
