@@ -12,11 +12,15 @@
 //   dlog> commit
 //
 // Commands: insert R(v, ...), delete R(v, ...), commit, dump R, relations,
-// stats, source, help, quit.  Values: integers (coerced to the column's
-// bit<N>/bigint type), "strings", true/false, and [v, ...] vectors.
+// stats, plan, source, help, quit.  Values: integers (coerced to the
+// column's bit<N>/bigint type), "strings", true/false, and [v, ...] vectors.
+//
+// `dlog_cli --builtin <name>` loads a packaged example stack's whole program
+// (generated declarations plus rules) instead of a file.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 
 #include "analyze/diag.h"
@@ -24,6 +28,7 @@
 #include "dlog/engine.h"
 #include "dlog/lexer.h"
 #include "dlog/program.h"
+#include "stacks.h"
 
 namespace nerpa::dlog {
 namespace {
@@ -130,6 +135,78 @@ Result<std::pair<std::string, Row>> ParseAtomCommand(
   return std::make_pair(std::move(relation), std::move(row));
 }
 
+/// Prints the compiled plan: each stratum in evaluation order, then each
+/// arrangement with its key columns, what its upkeep records, and the
+/// plans that read it.
+void PrintPlan(const Program& program) {
+  for (size_t s = 0; s < program.strata().size(); ++s) {
+    const Stratum& stratum = program.strata()[s];
+    std::string names;
+    for (int rel : stratum.relations) {
+      names += (names.empty() ? "" : ", ") + program.relation(rel).name;
+    }
+    std::printf("stratum %zu: %s%s\n", s, names.c_str(),
+                stratum.recursive ? "  (recursive)" : "");
+  }
+  // (relation, arrangement) -> one line per reader.
+  std::map<std::pair<int, int>, std::vector<std::string>> readers;
+  for (const CompiledRule& rule : program.rules()) {
+    auto read = [&](int rel, int arrangement, const std::string& kind) {
+      if (arrangement < 0) return;
+      readers[{rel, arrangement}].push_back(StrFormat(
+          "line %d (%s): %s", rule.line,
+          program.relation(rule.head_relation).name.c_str(), kind.c_str()));
+    };
+    auto read_all = [&](const std::vector<LookupPlan>& lookups,
+                        const std::string& kind) {
+      for (const LookupPlan& lookup : lookups) {
+        read(rule.steps[static_cast<size_t>(lookup.step_index)].relation,
+             lookup.arrangement, kind);
+      }
+    };
+    for (const DeltaPlan& plan : rule.delta_plans) {
+      const StepPlan& pinned =
+          rule.steps[static_cast<size_t>(plan.pinned_step)];
+      int literal = 0;  // 1-based among the body's literals
+      for (int s = 0; s <= plan.pinned_step; ++s) {
+        literal += rule.steps[static_cast<size_t>(s)].kind ==
+                   BodyElem::Kind::kLiteral;
+      }
+      read_all(plan.lookups,
+               StrFormat("delta plan pinned at literal %d (%s)", literal,
+                         program.relation(pinned.relation).name.c_str()));
+      read(pinned.relation, plan.pinned_arrangement,
+           StrFormat("negation pin at literal %d", literal));
+    }
+    int stratum = program.stratum_of(rule.head_relation);
+    bool recursive = program.strata()[static_cast<size_t>(stratum)].recursive;
+    read_all(rule.full_plan.lookups,
+             recursive ? "recursive full plan" : "bootstrap full plan");
+    read_all(rule.rederive_plan.lookups, "re-derivation plan");
+  }
+  size_t total = 0;
+  for (const auto& specs : program.arrangements()) total += specs.size();
+  std::printf("arrangements: %zu\n", total);
+  for (size_t rel = 0; rel < program.arrangements().size(); ++rel) {
+    const RelationDecl& decl = program.relations()[rel];
+    const auto& specs = program.arrangements()[rel];
+    for (size_t a = 0; a < specs.size(); ++a) {
+      std::string key;
+      for (int p : specs[a].key_positions) {
+        key += (key.empty() ? "" : ", ") +
+               decl.columns[static_cast<size_t>(p)].name;
+      }
+      std::printf("%s(%s)  flips=%s deleted=%s\n", decl.name.c_str(),
+                  key.c_str(), specs[a].records_flips ? "yes" : "no",
+                  specs[a].records_deleted ? "yes" : "no");
+      for (const std::string& reader :
+           readers[{static_cast<int>(rel), static_cast<int>(a)}]) {
+        std::printf("  %s\n", reader.c_str());
+      }
+    }
+  }
+}
+
 int Repl(const std::string& path, const std::string& source) {
   auto program = Program::Parse(source);
   if (!program.ok()) {
@@ -176,12 +253,17 @@ int Repl(const std::string& path, const std::string& source) {
     if (command == "help") {
       std::printf(
           "commands: insert R(v, ...) | delete R(v, ...) | commit |\n"
-          "          dump R | relations | stats | source | quit\n");
+          "          dump R | relations | stats | plan | source | quit\n"
+          "  plan: strata in evaluation order, then each arrangement (index)\n"
+          "        with its key columns, whether its upkeep records presence\n"
+          "        flips and deleted rows, and the plans that read it\n");
     } else if (command == "relations") {
       for (const RelationDecl& decl : (*program)->relations()) {
         std::printf("%s  (%zu rows)\n", decl.ToString().c_str(),
                     engine.Size(decl.name));
       }
+    } else if (command == "plan") {
+      PrintPlan(**program);
     } else if (command == "source") {
       std::printf("%s", (*program)->ast().ToString().c_str());
     } else if (command == "stats") {
@@ -241,9 +323,20 @@ int Repl(const std::string& path, const std::string& source) {
 }  // namespace nerpa::dlog
 
 int main(int argc, char** argv) {
+  if (argc == 3 && std::string_view(argv[1]) == "--builtin") {
+    auto stack = nerpa::examples::GetStack(argv[2]);
+    auto source = stack.ok() ? nerpa::examples::StackProgram(*stack)
+                             : nerpa::Result<std::string>(stack.status());
+    if (!source.ok()) {
+      std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
+      return 2;
+    }
+    return nerpa::dlog::Repl(argv[2], *source);
+  }
   if (argc != 2) {
     std::fprintf(stderr,
-                 "usage: %s program.dl   (then type 'help' at the prompt)\n",
+                 "usage: %s program.dl | --builtin <name>\n"
+                 "       (then type 'help' at the prompt)\n",
                  argv[0]);
     return 2;
   }
