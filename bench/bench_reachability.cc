@@ -13,6 +13,11 @@
 // or delete through the incremental engine versus recomputing the whole
 // label set from scratch, across an N sweep.  Expected shape: the
 // incremental column stays roughly flat while recompute grows with N.
+//
+// Flags (bench::BenchArgs): --scale=F scales the node counts, --seed=N
+// seeds the graphs, --out=DIR receives BENCH_reachability.json with one
+// entry per N (nodes, edges, recompute, insert and delete seconds).
+#include <algorithm>
 #include <random>
 
 #include "bench/bench_util.h"
@@ -22,6 +27,8 @@ namespace nerpa {
 namespace {
 
 using bench::Banner;
+using bench::BenchArgs;
+using bench::JsonEmitter;
 using bench::Table;
 using dlog::Engine;
 using dlog::Row;
@@ -74,7 +81,7 @@ Status LoadGraph(Engine& engine, const Graph& graph) {
   return engine.Commit().status();
 }
 
-int Run() {
+int Run(const BenchArgs& args) {
   Banner("E6 / §1",
          "incremental graph labeling vs full recompute (the 2-rule Label "
          "program)");
@@ -86,8 +93,10 @@ int Run() {
 
   Table table({"nodes", "edges", "full recompute", "1 edge insert",
                "1 edge delete", "speedup (ins)", "speedup (del)"});
-  for (int nodes : {100, 300, 1000, 3000, 10000}) {
-    std::mt19937_64 rng(42);
+  Json::Array sweep;
+  for (int base_nodes : {100, 300, 1000, 3000, 10000}) {
+    int nodes = std::max(2, args.Scaled(base_nodes));
+    std::mt19937_64 rng(args.seed);
     Graph graph = MakeGraph(nodes, rng);
 
     // Full recompute cost: load everything into a fresh engine.
@@ -130,6 +139,13 @@ int Run() {
                   bench::Us(delete_median),
                   StrFormat("%.0fx", full_seconds / insert_median),
                   StrFormat("%.0fx", full_seconds / delete_median)});
+    Json::Object point;
+    point["nodes"] = static_cast<int64_t>(nodes);
+    point["edges"] = static_cast<int64_t>(graph.edges.size());
+    point["recompute_s"] = full_seconds;
+    point["insert_s"] = insert_median;
+    point["delete_s"] = delete_median;
+    sweep.push_back(Json(std::move(point)));
   }
   table.Print();
   std::printf(
@@ -141,10 +157,18 @@ int Run() {
       "downstream closure and re-derivation approaches a full stratum\n"
       "recompute — the classic DRed worst case; differential-dataflow-style\n"
       "engines (DDlog's substrate) do better there.\n");
+
+  JsonEmitter emitter("reachability", args);
+  emitter.Param("edges_per_node", static_cast<int64_t>(3));
+  emitter.Param("trials_per_size", static_cast<int64_t>(20));
+  emitter.Metric("sweep", Json(std::move(sweep)));
+  emitter.Write();
   return 0;
 }
 
 }  // namespace
 }  // namespace nerpa
 
-int main() { return nerpa::Run(); }
+int main(int argc, char** argv) {
+  return nerpa::Run(nerpa::bench::BenchArgs::Parse(argc, argv));
+}

@@ -110,9 +110,10 @@ echo "=== bench smoke (Release -O2) ==="
 cmake -B build-ci-bench -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-ci-bench -j "$JOBS" --target \
   bench_dlog_hotpath bench_port_scaling bench_incremental_vs_full \
-  bench_lb_coldstart
+  bench_lb_coldstart bench_reachability
 mkdir -p build-ci-bench/bench-out
-for b in dlog_hotpath port_scaling incremental_vs_full lb_coldstart; do
+for b in dlog_hotpath port_scaling incremental_vs_full lb_coldstart \
+    reachability; do
   echo "--- bench_$b --scale=0.05 ---"
   "build-ci-bench/bench/bench_$b" --scale=0.05 \
     --out=build-ci-bench/bench-out >/dev/null
