@@ -349,7 +349,7 @@ Status Controller::ReloadEngineCheckpoint(const std::string& checkpoint) {
     ovsdb::TableUpdate& table = snapshot[binding.table];
     for (const ovsdb::Row* row : db_->GetRows(binding.table)) {
       ovsdb::RowUpdate update;
-      update.new_row = *row;
+      update.new_row = std::make_shared<const ovsdb::Row>(*row);
       table.emplace(row->uuid, std::move(update));
     }
   }

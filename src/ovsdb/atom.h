@@ -51,6 +51,9 @@ class Atom {
   bool operator<(const Atom& o) const;
   bool operator!=(const Atom& o) const { return !(*this == o); }
 
+  /// Agrees with ==, for hashed unique indexes.
+  size_t Hash() const { return std::hash<decltype(rep_)>{}(rep_); }
+
   /// JSON wire form: scalars as-is, uuids as ["uuid","<text>"].
   Json ToJson() const;
 

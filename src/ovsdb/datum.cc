@@ -159,6 +159,47 @@ Result<Datum> Datum::FromJson(const Json& json, const ColumnType& type,
   return out;
 }
 
+Status Datum::CoerceTo(const ColumnType& type) {
+  if (is_map() && !type.is_map()) {
+    return ParseError("map datum for non-map column");
+  }
+  bool widen = false;  // some integer atom stands in a real position
+  auto check = [&widen](const std::vector<Atom>& atoms, AtomicType want) {
+    for (const Atom& atom : atoms) {
+      if (atom.type() == want) continue;
+      if (want == AtomicType::kReal && atom.type() == AtomicType::kInteger) {
+        widen = true;
+        continue;
+      }
+      return ParseError(StrFormat("expected %s atom, got %s",
+                                  AtomicTypeName(want),
+                                  atom.ToJson().Dump().c_str()));
+    }
+    return Status::Ok();
+  };
+  NERPA_RETURN_IF_ERROR(check(keys_, type.key.type));
+  if (is_map()) NERPA_RETURN_IF_ERROR(check(values_, type.value->type));
+  if (widen) {
+    auto real = [](const Atom& atom) {
+      return atom.type() == AtomicType::kInteger
+                 ? Atom(static_cast<double>(atom.integer())) : atom;
+    };
+    std::vector<std::pair<Atom, Atom>> pairs;
+    std::vector<Atom> keys;
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      Atom key = type.key.type == AtomicType::kReal ? real(keys_[i]) : keys_[i];
+      if (!is_map()) {
+        keys.push_back(std::move(key));
+      } else {
+        pairs.emplace_back(std::move(key), type.value->type == AtomicType::kReal
+                                               ? real(values_[i]) : values_[i]);
+      }
+    }
+    *this = is_map() ? Map(std::move(pairs)) : Set(std::move(keys));
+  }
+  return CheckType(type);
+}
+
 Datum Datum::Default(const ColumnType& type) {
   if (type.min == 0) return Datum();
   if (type.is_map()) return Datum();  // maps with min>0 have no default
@@ -189,6 +230,13 @@ std::string Datum::ToString() const {
     out += keys_[i].ToString();
   }
   return out + "]";
+}
+
+size_t Datum::Hash() const {
+  size_t hash = keys_.size();
+  for (const Atom& atom : keys_) hash = hash * 31 + atom.Hash();
+  for (const Atom& atom : values_) hash = hash * 37 + atom.Hash();
+  return hash;
 }
 
 bool Datum::operator<(const Datum& o) const {

@@ -69,6 +69,11 @@ class Datum {
       const Json& json, const ColumnType& type,
       const std::map<std::string, Uuid>* named_uuids = nullptr);
 
+  /// The typed counterpart of FromJson(ToJson(), type), in place: the same
+  /// checks with the same status codes, turning integer atoms in real
+  /// positions into reals.
+  Status CoerceTo(const ColumnType& type);
+
   /// Default value for a column type: empty for min==0, zero-ish scalar for
   /// required scalars (RFC 7047 default-conversion behaviour).
   static Datum Default(const ColumnType& type);
@@ -80,6 +85,9 @@ class Datum {
   }
   bool operator!=(const Datum& o) const { return !(*this == o); }
   bool operator<(const Datum& o) const;
+
+  /// Agrees with ==, for hashed unique indexes.
+  size_t Hash() const;
 
  private:
   std::vector<Atom> keys_;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "dlog/engine.h"
 #include "dlog/program.h"
 #include "gateway/http.h"
+#include "ovsdb/database.h"
 #include "ovsdb/jsonrpc.h"
 #include "net/packet.h"
 #include "p4/runtime.h"
@@ -117,6 +119,140 @@ TEST(Fuzz, OvsdbTransact) {
     {"op": "insert", "table": "Mirror",
      "row": {"name": "m", "src_port": 1, "out_port": 2}}
   ])").ok());
+}
+
+// Shape-aware transact drill: start from valid transacts that use every op
+// and field, and replace each JSON value in turn with a value of every
+// other JSON type and with the int64 extremes.  Byte flips rarely keep a
+// request well-formed enough to reach the per-op fields; this reaches each.
+ovsdb::DatabaseSchema ShapesSchema() {
+  using ovsdb::BaseType;
+  using ovsdb::ColumnType;
+  ovsdb::TableSchema t;
+  t.name = "T";
+  t.columns = {
+      {"name", ColumnType::Scalar(BaseType::String()), false, true},
+      {"n", ColumnType::Scalar(BaseType::Integer()), false, true},
+      {"r", ColumnType::Optional(BaseType::Real()), false, true},
+      {"tags", ColumnType::Set(BaseType::Integer()), false, true},
+      {"opts", ColumnType::Map(BaseType::String(), BaseType::Integer()),
+       false, true},
+      {"peer", ColumnType::Optional(BaseType::Ref("T", /*weak=*/true)), false,
+       true},
+      {"owner", ColumnType::Set(BaseType::Ref("T")), false, false},
+  };
+  t.indexes = {{"name"}};
+  ovsdb::DatabaseSchema schema;
+  schema.name = "shapes";
+  schema.tables.emplace("T", std::move(t));
+  return ovsdb::WithLeaderLease(std::move(schema));
+}
+
+/// Every value node of `json`, in a fixed preorder.
+void CollectValues(Json& json, std::vector<Json*>& out) {
+  out.push_back(&json);
+  if (json.is_array()) {
+    for (Json& item : json.as_array()) CollectValues(item, out);
+  } else if (json.is_object()) {
+    for (auto& [key, value] : json.as_object()) CollectValues(value, out);
+  }
+}
+
+std::map<std::string, std::vector<ovsdb::Row>> AllRows(
+    const ovsdb::Database& db) {
+  std::map<std::string, std::vector<ovsdb::Row>> out;
+  for (const auto& [table, schema] : db.schema().tables) {
+    for (const ovsdb::Row* row : db.GetRows(table)) out[table].push_back(*row);
+    std::sort(out[table].begin(), out[table].end(),
+              [](const auto& a, const auto& b) { return a.uuid < b.uuid; });
+  }
+  return out;
+}
+
+TEST(Fuzz, OvsdbTransactShapes) {
+  const char* const kBase = R"([
+    {"op": "insert", "table": "T", "uuid-name": "c",
+     "row": {"name": "c", "n": 7, "tags": ["set", [1, 2]],
+             "opts": ["map", [["x", 1], ["y", 2]]]}},
+    {"op": "insert", "table": "Leader_Lease", "row": {"epoch": 3}}
+  ])";
+  const std::vector<std::string> seeds = {
+      R"([
+    {"op": "insert", "table": "T", "uuid-name": "a",
+     "row": {"name": "a", "n": 5, "r": 1.5, "tags": ["set", [1, 2]],
+             "opts": ["map", [["x", 1]]]}},
+    {"op": "insert", "table": "T", "uuid-name": "b",
+     "uuid": "01234567-89ab-cdef-0123-456789abcdef",
+     "row": {"name": "b", "peer": ["named-uuid", "a"],
+             "owner": ["set", [["named-uuid", "a"]]]}},
+    {"op": "select", "table": "T", "where": [["n", ">=", 5]],
+     "columns": ["_uuid", "name", "n"]},
+    {"op": "wait", "table": "T", "where": [["name", "==", "a"]],
+     "columns": ["name", "n"], "until": "==",
+     "rows": [{"name": "a", "n": 5}]},
+    {"op": "mutate", "table": "T", "where": [["name", "==", "a"]],
+     "mutations": [["n", "+=", 4], ["n", "-=", 1], ["n", "*=", 3],
+                   ["n", "/=", 2], ["n", "%=", 5], ["r", "*=", 2],
+                   ["tags", "insert", ["set", [3]]],
+                   ["tags", "delete", ["set", [1]]],
+                   ["opts", "setkey", ["map", [["y", 2]]]],
+                   ["opts", "delkey", ["set", ["x"]]],
+                   ["opts", "insert", ["map", [["z", 3]]]],
+                   ["opts", "delete", ["map", [["z", 3]]]]]},
+    {"op": "update", "table": "T", "where": [["tags", "includes", 2]],
+     "row": {"r": 2.5, "tags": ["set", [4]]}},
+    {"op": "assert_fence", "epoch": 3},
+    {"op": "comment", "comment": "shapes"},
+    {"op": "delete", "table": "T", "where": [["name", "!=", "a"]]}
+  ])",
+      R"([
+    {"op": "update", "table": "T", "where": [["name", "==", "c"]],
+     "row": {"n": 1}},
+    {"op": "abort"}
+  ])"};
+  const std::vector<Json> replacements = {
+      Json(),     Json(true),         Json(int64_t{0}),
+      Json(2.5),  Json("s"),          Json(Json::Array{}),
+      Json(Json::Object{}),
+      Json(std::numeric_limits<int64_t>::min()),
+      Json(std::numeric_limits<int64_t>::max())};
+  int accepted = 0, rejected = 0;
+  for (const std::string& seed : seeds) {
+    const Json original = Json::Parse(seed).value();
+    {  // Unmodified, the first seed commits and the second aborts.
+      ovsdb::Database db(ShapesSchema());
+      ASSERT_TRUE(db.TransactText(kBase).ok());
+      Result<Json> result = db.Transact(original);
+      EXPECT_EQ(result.ok(), seed == seeds.front())
+          << result.status().ToString();
+    }
+    std::vector<Json*> nodes;
+    Json probe = original;
+    CollectValues(probe, nodes);
+    for (size_t at = 0; at < nodes.size(); ++at) {
+      for (const Json& replacement : replacements) {
+        Json request = original;
+        std::vector<Json*> paths;
+        CollectValues(request, paths);
+        *paths[at] = replacement;
+        ovsdb::Database db(ShapesSchema());
+        ASSERT_TRUE(db.TransactText(kBase).ok());
+        const auto before = AllRows(db);
+        const uint64_t commits = db.commit_count();
+        Result<Json> result = db.Transact(request);
+        if (result.ok()) {
+          ++accepted;
+          continue;
+        }
+        ++rejected;
+        EXPECT_EQ(AllRows(db), before) << request.Dump();
+        EXPECT_EQ(db.commit_count(), commits) << request.Dump();
+      }
+    }
+  }
+  // Both outcomes occur: the drill reaches past the first parse error.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Fuzz, JsonRpcStream) {
