@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <set>
 
 #include "common/strings.h"
 #include "net/packet.h"
@@ -411,21 +412,22 @@ class ListModel {
   }
 
   Outcome Apply(UpdateType type, const TableEntry& e) {
-    auto it = std::find_if(list_.begin(), list_.end(), [&](const auto& held) {
-      return Identity(held) == Identity(e);
-    });
+    std::vector<uint64_t> id = Identity(e);
+    size_t at = std::find(ids_.begin(), ids_.end(), id) - ids_.begin();
     if (type == UpdateType::kInsert) {
       if (list_.size() >= schema_.size) return Outcome::kFull;
-      if (it != list_.end()) return Outcome::kExists;
+      if (at != ids_.size()) return Outcome::kExists;
       list_.push_back(e);
+      ids_.push_back(std::move(id));
       return Outcome::kOk;
     }
-    if (it == list_.end()) return Outcome::kMissing;
+    if (at == ids_.size()) return Outcome::kMissing;
     if (type == UpdateType::kDelete) {
-      list_.erase(it);
+      list_.erase(list_.begin() + at);
+      ids_.erase(ids_.begin() + at);
     } else {
-      it->action = e.action;
-      it->action_args = e.action_args;
+      list_[at].action = e.action;
+      list_[at].action_args = e.action_args;
     }
     return Outcome::kOk;
   }
@@ -479,6 +481,7 @@ class ListModel {
  private:
   const Table& schema_;
   std::vector<TableEntry> list_;
+  std::vector<std::vector<uint64_t>> ids_;  // Identity() of each list_ entry
 };
 
 ListModel::Outcome Classify(const Status& status) {
@@ -600,6 +603,188 @@ TEST(TableStoreOracle, RandomStreamsMatchListModel) {
     }
   }
   EXPECT_GT(compared_lookups, 1000);
+}
+
+/// Every entry `state` holds, as the model describes it, sorted.
+std::vector<std::string> Held(const ListModel& model, const TableState& state) {
+  std::vector<std::string> held;
+  for (const TableEntry* e : state.Entries()) held.push_back(model.Describe(*e));
+  std::sort(held.begin(), held.end());
+  return held;
+}
+
+// Two exact tables sized for thousands of live entries, over a domain of
+// about 10^4 keys: bursts that grow and shrink them regrow the store's
+// index several times and leave long probe chains, some of which wrap past
+// the end of the index.  After each burst every live key and a sample of
+// absent keys are looked up.
+constexpr const char* kLargeExact = R"p4(
+program large;
+header h { bit<16> a; bit<16> b; }
+parser { state start { extract(h); goto accept; } }
+action Set(bit<8> v) { }
+table Exact { key = { h.a: exact; } actions = { Set; } size = 8192; }
+table Exact2 { key = { h.a: exact; h.b: exact; } actions = { Set; } size = 8192; }
+ingress { apply(Exact); apply(Exact2); }
+egress { }
+deparser { emit(h); }
+)p4";
+
+TEST(TableStoreOracle, GrowingExactTablesMatchListModel) {
+  auto program = ParseP4Text(kLargeExact);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  std::mt19937_64 rng(7);
+  Switch device(*program);
+  RuntimeClient client(&device);
+  for (const Table& schema : (*program)->tables) {
+    ListModel model(schema);
+    TableState& state = *device.GetTable(schema.name);
+    // One key field per match key: 10^4 values for Exact, 100 x 100 for
+    // Exact2.
+    auto random_key = [&] {
+      if (schema.keys.size() == 1) return std::vector<uint64_t>{rng() % 10000};
+      return std::vector<uint64_t>{rng() % 100, rng() % 100};
+    };
+    size_t peak = 0;
+    for (int burst = 0; burst < 7; ++burst) {
+      SCOPED_TRACE(StrFormat("table %s burst %d", schema.name.c_str(), burst));
+      bool grow = burst % 2 == 0;
+      int ops = grow ? 2500 : 600;
+      uint64_t insert_share = grow ? 90 : 20;
+      for (int op = 0; op < ops; ++op) {
+        UpdateType type = rng() % 100 < insert_share ? UpdateType::kInsert
+                                                     : UpdateType::kDelete;
+        TableEntry entry;
+        if (type == UpdateType::kDelete && !model.list().empty() &&
+            rng() % 4 != 0) {
+          entry = model.list()[rng() % model.list().size()];
+        } else {
+          entry.table = schema.name;
+          for (uint64_t value : random_key()) {
+            entry.match.push_back(MatchField::Exact(value));
+          }
+        }
+        entry.action = "Set";
+        entry.action_args = {rng() % 256};
+        ListModel::Outcome want = model.Apply(type, entry);
+        ASSERT_EQ(Classify(client.Write({Update{type, entry}})), want)
+            << UpdateTypeName(type) << " " << model.Describe(entry);
+      }
+      peak = std::max(peak, model.list().size());
+      ASSERT_EQ(state.size(), model.list().size());
+      ASSERT_EQ(Held(model, state), model.Dump());
+      std::set<std::vector<uint64_t>> live;
+      for (const TableEntry& e : model.list()) {
+        std::vector<uint64_t> key;
+        for (const MatchField& f : e.match) key.push_back(f.value);
+        const TableEntry* got = state.Lookup(key);
+        ASSERT_NE(got, nullptr) << model.Describe(e);
+        ASSERT_EQ(model.Describe(*got), model.Describe(e));
+        live.insert(std::move(key));
+      }
+      for (int probe = 0; probe < 500; ++probe) {
+        std::vector<uint64_t> key = random_key();
+        if (live.count(key) != 0) continue;
+        ASSERT_EQ(state.Lookup(key), nullptr);
+      }
+    }
+    EXPECT_GT(peak, 4000u) << "the stream never grew the table";
+  }
+}
+
+// Batched writes of 1-8 updates over every match kind.  About a third of
+// the batches carry a planted failure: a validation error, which must
+// leave every table untouched, or an application error at position k,
+// before which exactly k updates apply (the client's write_count() delta).
+TEST(TableStoreOracle, BatchedWritesApplyTheirPrefix) {
+  auto program = ParseP4Text(kMatchKinds);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  int prefixes = 0, invalid = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937_64 rng(seed);
+    Switch device(*program);
+    RuntimeClient client(&device);
+    std::vector<ListModel> models;
+    for (const Table& table : (*program)->tables) models.emplace_back(table);
+    auto random_entry = [&](const Table& schema) {
+      TableEntry entry;
+      entry.table = schema.name;
+      for (const TableKey& key : schema.keys) {
+        entry.match.push_back(RandomField(key.kind, rng));
+      }
+      entry.priority =
+          TakesPriority(schema) ? static_cast<int32_t>(rng() % 3) : 0;
+      entry.action = "Set";
+      entry.action_args = {rng() % 256};
+      return entry;
+    };
+    for (int step = 0; step < 300; ++step) {
+      SCOPED_TRACE(StrFormat("seed %llu batch %d",
+                             static_cast<unsigned long long>(seed), step));
+      std::vector<Update> batch(1 + rng() % 8);
+      for (Update& update : batch) {
+        size_t t = rng() % models.size();
+        const ListModel& model = models[t];
+        uint64_t roll = rng() % 100;
+        update.type = roll < 60   ? UpdateType::kInsert
+                      : roll < 75 ? UpdateType::kModify
+                                  : UpdateType::kDelete;
+        if (update.type != UpdateType::kInsert && !model.list().empty()) {
+          update.entry = model.list()[rng() % model.list().size()];
+          update.entry.action_args = {rng() % 256};
+        } else {
+          update.entry = random_entry((*program)->tables[t]);
+        }
+      }
+      bool planted_invalid = false;
+      if (rng() % 3 == 0) {
+        Update& victim = batch[rng() % batch.size()];
+        if (rng() % 2 == 0) {
+          victim.entry.action_args = {0x1FF};  // exceeds bit<8> v
+          victim.type = UpdateType::kInsert;
+          planted_invalid = true;
+        } else {
+          // Insert an entry the table holds (or delete one it lacks).
+          const ListModel& model =
+              models[(*program)->FindTable(victim.entry.table) -
+                     (*program)->tables.data()];
+          if (!model.list().empty()) {
+            victim.type = UpdateType::kInsert;
+            victim.entry = model.list()[rng() % model.list().size()];
+          } else {
+            victim.type = UpdateType::kDelete;
+          }
+        }
+      }
+      uint64_t before = client.write_count();
+      Status status = client.Write(batch);
+      uint64_t applied = client.write_count() - before;
+      if (planted_invalid) {
+        ++invalid;
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(applied, 0u);
+      } else {
+        size_t k = 0;
+        ListModel::Outcome first = ListModel::Outcome::kOk;
+        for (; k < batch.size(); ++k) {
+          size_t t = (*program)->FindTable(batch[k].entry.table) -
+                     (*program)->tables.data();
+          first = models[t].Apply(batch[k].type, batch[k].entry);
+          if (first != ListModel::Outcome::kOk) break;
+        }
+        if (k > 0 && k < batch.size()) ++prefixes;
+        ASSERT_EQ(Classify(status), first) << status.ToString();
+        ASSERT_EQ(applied, k);
+      }
+      for (size_t t = 0; t < models.size(); ++t) {
+        ASSERT_EQ(Held(models[t], *device.GetTable((*program)->tables[t].name)),
+                  models[t].Dump());
+      }
+    }
+  }
+  // Both kinds of failure were exercised, and so were partial prefixes.
+  EXPECT_GT(invalid, 300);
+  EXPECT_GT(prefixes, 500);
 }
 
 TEST(RuntimeClient, PriorityOnlyOnTablesThatRankEntries) {
