@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -65,10 +64,13 @@ MatchKey KeyOf(const Table& schema, const TableEntry& entry);
 /// priority 0.
 bool TakesPriority(const Table& table);
 
-/// The runtime contents of one table, kept in one hash map keyed by
-/// MatchKey.  An all-exact table answers a lookup with one probe; other
-/// tables scan, preferring the longest LPM prefix, then the highest
-/// priority.
+/// The runtime contents of one table, kept flat: the entries in one dense
+/// array (a removal moves the last entry into the hole), every entry's
+/// MatchKey words packed into a second array at a fixed width per table,
+/// and an open-addressing hash index over them, so a write allocates no
+/// node or key.  An all-exact table answers a lookup with one probe of the
+/// index; other tables scan the entries, preferring the longest LPM
+/// prefix, then the highest priority.
 class TableState {
  public:
   explicit TableState(const Table* schema);
@@ -88,7 +90,15 @@ class TableState {
   /// Highest-precedence entry matching `key_fields`, or nullptr on miss.
   const TableEntry* Lookup(const std::vector<uint64_t>& key_fields) const;
 
-  /// Every entry, in no particular order.
+  /// The program's index of the action `entry` runs (`entry` is one of
+  /// this table's entries, as Lookup returns them), resolved when the
+  /// entry was written; -1 when the table does not permit that action.
+  int ActionIndex(const TableEntry& entry) const {
+    return actions_[&entry - entries_.data()];
+  }
+
+  /// Every entry, in no particular order.  The pointers stay valid until
+  /// the next write.
   std::vector<const TableEntry*> Entries() const;
 
   /// Per-table hit/miss counters (a tiny model of P4 direct counters).
@@ -96,13 +106,37 @@ class TableState {
   uint64_t misses() const { return misses_; }
 
  private:
-  struct KeyHash {
-    size_t operator()(const MatchKey& key) const;
-  };
+  /// Packs `entry`'s key into key_ and returns its hash; false when no
+  /// entry of this table can have that key (wrong arity, or a priority on
+  /// a table that ranks nothing).
+  bool PackKey(const TableEntry& entry, uint64_t* hash);
+  /// The index slot holding the entry whose key is `key`, or the empty
+  /// slot where it would go.
+  size_t Probe(const uint64_t* key, uint64_t hash) const;
+  /// The entry held at index slot `slot`, or -1 when the slot is empty.
+  int64_t At(size_t slot) const {
+    return static_cast<int64_t>(slots_[slot]) - 1;
+  }
+  /// The entry with `entry`'s key, or -1; `*slot` is its index slot.
+  int64_t Find(const TableEntry& entry, size_t* slot);
+  /// The program's index of `entry`'s action (see ActionIndex).
+  int ResolveAction(const TableEntry& entry) const;
+  /// Doubles the index.
+  void Grow();
 
   const Table* schema_;
   bool all_exact_;
-  std::unordered_map<MatchKey, TableEntry, KeyHash> entries_;
+  bool ranked_;  // TakesPriority(*schema_)
+  size_t width_;  // key words per entry
+  // Parallel, one element (width_ words for keys_) per entry.
+  std::vector<TableEntry> entries_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> hashes_;
+  std::vector<int32_t> actions_;
+  // Open addressing with linear probing: entry index + 1, 0 = empty.  Its
+  // size is a power of two at least twice the entry count.
+  std::vector<uint32_t> slots_;
+  std::vector<uint64_t> key_;  // PackKey's buffer, reused across writes
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
 };

@@ -117,11 +117,13 @@ Status Switch::ApplyTable(Ctx& ctx, int index) {
   for (const TableKey& tk : table.keys) {
     key_.push_back(ReadField(ctx, tk.field.slot));
   }
-  const TableEntry* entry = tables_[index].Lookup(key_);
+  const TableState& state = tables_[index];
+  const TableEntry* entry = state.Lookup(key_);
   const Action* action = nullptr;
   const std::vector<uint64_t>* args = nullptr;
   if (entry != nullptr) {
-    action = program_->FindAction(entry->action);
+    int action_index = state.ActionIndex(*entry);
+    if (action_index >= 0) action = &program_->actions[action_index];
     args = &entry->action_args;
   } else if (table.default_index >= 0) {
     action = &program_->actions[table.default_index];

@@ -53,6 +53,10 @@ class Switch {
   /// Table state by name (written through the runtime API).
   TableState* GetTable(std::string_view name);
   const TableState* GetTable(std::string_view name) const;
+  /// Table state of one of the program's own tables.
+  TableState& table_state(const Table& table) {
+    return tables_[&table - program_->tables.data()];
+  }
 
   /// Replaces the port set of a multicast group (empty = delete).
   void SetMulticastGroup(uint32_t group, std::vector<uint64_t> ports);

@@ -328,11 +328,14 @@ Status P4Program::Validate() {
       NERPA_ASSIGN_OR_RETURN(key.field.slot, Resolve(key.field));
       key.width = key.field.slot.width;
     }
+    table.action_indices.clear();
     for (const std::string& action : table.actions) {
-      if (FindAction(action) == nullptr) {
+      const Action* found = FindAction(action);
+      if (found == nullptr) {
         return NotFound(StrFormat("table %s permits unknown action '%s'",
                                   table.name.c_str(), action.c_str()));
       }
+      table.action_indices.push_back(static_cast<int>(found - actions.data()));
     }
     if (!table.default_action.empty()) {
       NERPA_ASSIGN_OR_RETURN(

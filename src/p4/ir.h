@@ -150,6 +150,7 @@ struct Table {
   int col = 0;
   std::vector<TableKey> keys;
   std::vector<std::string> actions;  // names of permitted actions
+  std::vector<int> action_indices;   // of `actions`, resolved by Validate()
   std::string default_action;        // applied on miss ("" = no-op)
   std::vector<uint64_t> default_action_args;
   int default_index = -1;            // resolved by Validate()

@@ -13,8 +13,8 @@ const char* UpdateTypeName(UpdateType type) {
   return "?";
 }
 
-Status RuntimeClient::ValidateEntry(const TableEntry& entry,
-                                    UpdateType type) const {
+Result<const Table*> RuntimeClient::ValidateEntry(const TableEntry& entry,
+                                                  UpdateType type) const {
   const Table* table = program().FindTable(entry.table);
   if (table == nullptr) {
     return NotFound("no table '" + entry.table + "'");
@@ -49,7 +49,7 @@ Status RuntimeClient::ValidateEntry(const TableEntry& entry,
       return InvalidArgument("range match with high < low");
     }
   }
-  if (type == UpdateType::kDelete) return Status::Ok();
+  if (type == UpdateType::kDelete) return table;
   const Action* action = program().FindAction(entry.action);
   if (action == nullptr) {
     return NotFound("no action '" + entry.action + "'");
@@ -79,16 +79,20 @@ Status RuntimeClient::ValidateEntry(const TableEntry& entry,
           action->name.c_str()));
     }
   }
-  return Status::Ok();
+  return table;
 }
 
 Status RuntimeClient::Write(const std::vector<Update>& updates) {
   NERPA_RETURN_IF_ERROR(switch_->CheckFence(fence_token_));
+  resolved_.clear();
   for (const Update& update : updates) {
-    NERPA_RETURN_IF_ERROR(ValidateEntry(update.entry, update.type));
+    NERPA_ASSIGN_OR_RETURN(const Table* table,
+                           ValidateEntry(update.entry, update.type));
+    resolved_.push_back(&switch_->table_state(*table));
   }
-  for (const Update& update : updates) {
-    TableState* table = switch_->GetTable(update.entry.table);
+  for (size_t i = 0; i < updates.size(); ++i) {
+    const Update& update = updates[i];
+    TableState* table = resolved_[i];
     switch (update.type) {
       case UpdateType::kInsert:
         NERPA_RETURN_IF_ERROR(table->Insert(update.entry));

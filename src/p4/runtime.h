@@ -3,8 +3,12 @@
 // This is the wire between the control plane and the data plane: typed,
 // validated table writes (insert/modify/delete), multicast group
 // programming, and a digest subscription.  In the real Nerpa this is gRPC;
-// here it is an in-process client with the same semantics, including
-// batch validation (a batch either fully validates or nothing applies).
+// here it is an in-process client with the same semantics.  Like
+// P4Runtime's WriteRequest, one Write carries a batch of updates and is
+// not atomic: the batch either fully validates or nothing applies, and
+// then its updates apply in order up to the first one that fails.  The
+// caller learns how many applied from write_count(), which moves by one
+// per applied update, so it can resend just the rest.
 #ifndef NERPA_P4_RUNTIME_H_
 #define NERPA_P4_RUNTIME_H_
 
@@ -39,7 +43,10 @@ class RuntimeClient {
   /// Validates and applies a batch of table updates.  Validation errors
   /// reject the whole batch before anything applies; application errors
   /// (e.g. duplicate insert) stop at the failing update — matching
-  /// P4Runtime's sequential-apply semantics.
+  /// P4Runtime's sequential-apply semantics.  The updates before the
+  /// failing one stay applied; their count is the write_count() delta
+  /// around the call.  A decorator that fails the call before delegating
+  /// here applies none.
   virtual Status Write(const std::vector<Update>& updates);
 
   /// Convenience single-entry forms (dispatch through Write()).
@@ -67,8 +74,9 @@ class RuntimeClient {
   virtual Result<std::vector<std::pair<uint32_t, std::vector<uint64_t>>>>
   ReadMulticastGroups() const;
 
-  /// Updates applied so far through Write()/SetMulticastGroup() — lets
-  /// resynchronization tests assert "zero writes when converged".
+  /// Updates applied so far through Write()/SetMulticastGroup(), one per
+  /// applied update or group — the applied prefix of a failed batch, and
+  /// "zero writes when converged" for resynchronization tests.
   uint64_t write_count() const { return write_count_; }
 
   // --- Fencing (controller replication) ---
@@ -103,15 +111,17 @@ class RuntimeClient {
   /// injecting packets.
   virtual void PollDigests();
 
-  /// Validates a fully-formed entry against the program (exposed for the
-  /// cross-plane type checker in src/nerpa).
-  Status ValidateEntry(const TableEntry& entry, UpdateType type) const;
-
  protected:
   Switch* target() const { return switch_; }
 
  private:
+  /// Validates a fully-formed entry against the program; returns its
+  /// table.
+  Result<const Table*> ValidateEntry(const TableEntry& entry,
+                                     UpdateType type) const;
+
   Switch* switch_;
+  std::vector<TableState*> resolved_;  // Write's per-update tables, reused
   DigestHandler digest_handler_;
   uint64_t write_count_ = 0;
   uint64_t fence_token_ = 0;
