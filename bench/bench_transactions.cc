@@ -9,6 +9,8 @@
 // transaction grouping end to end instead of feeding changes one by one.
 #include <benchmark/benchmark.h>
 
+#include <random>
+
 #include "common/strings.h"
 
 #include "dlog/engine.h"
@@ -153,6 +155,56 @@ void BM_P4RuntimeWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_P4RuntimeWrite)->Iterations(50000)->Repetitions(5);
 
+/// P4Runtime writes of one trunk port's entries — its tagged ingress entry
+/// and its egress entry on each of 4 VLANs, 8 inserts — as one Write per
+/// port (as the controller batches a device's writes per phase) or as one
+/// Write per entry.
+void BM_P4RuntimeWritePort(benchmark::State& state, bool one_call) {
+  auto program = snvs::SnvsP4Program();
+  p4::Switch device(program);
+  p4::RuntimeClient client(&device);
+  uint64_t port = 0;
+  std::vector<p4::Update> updates;
+  for (auto _ : state) {
+    updates.clear();
+    for (uint64_t vlan = 1; vlan <= 4; ++vlan) {
+      p4::TableEntry in;
+      in.table = "InVlanTagged";
+      in.match = {p4::MatchField::Exact(port), p4::MatchField::Exact(vlan)};
+      in.action = "UseTaggedVlan";
+      in.action_args = {vlan};
+      p4::TableEntry out = in;
+      out.table = "OutVlan";
+      out.action = "EmitTagged";
+      updates.push_back(p4::Update{p4::UpdateType::kInsert, std::move(in)});
+      updates.push_back(p4::Update{p4::UpdateType::kInsert, std::move(out)});
+    }
+    Status status;
+    if (one_call) {
+      status = client.Write(updates);
+    } else {
+      for (const p4::Update& update : updates) {
+        status = client.Write({update});
+        if (!status.ok()) break;
+      }
+    }
+    benchmark::DoNotOptimize(status);
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      break;
+    }
+    ++port;
+  }
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+// 10,000 ports put 40,000 entries in each table, below their 65,536.
+BENCHMARK_CAPTURE(BM_P4RuntimeWritePort, one_call_per_port, true)
+    ->Iterations(10000)
+    ->Repetitions(5);
+BENCHMARK_CAPTURE(BM_P4RuntimeWritePort, one_call_per_entry, false)
+    ->Iterations(10000)
+    ->Repetitions(5);
+
 /// Per-packet pipeline execution (parse, 8 tables, deparse) in the steady
 /// state of a 16-port access VLAN with hosts AA (port 1) and BB (port 2)
 /// learned: a `bytes`-long frame from AA to BB leaves once, on port 2, and
@@ -192,6 +244,66 @@ BENCHMARK_CAPTURE(BM_P4PacketPipeline, unicast_64B, 64, false)
 BENCHMARK_CAPTURE(BM_P4PacketPipeline, unicast_1518B, 1518, false)
     ->Repetitions(5);
 BENCHMARK_CAPTURE(BM_P4PacketPipeline, broadcast_64B_16_ports, 64, true)
+    ->Repetitions(5);
+
+/// Per-packet pipeline execution over the learned state of a larger
+/// network: 256 access ports on 16 VLANs and 4,096 learned hosts, so SMac
+/// and Dmac hold 4,096 entries each (the cases above learn two hosts).
+/// 64-byte unicast frames cycle through 1,024 random pairs of hosts that
+/// share a VLAN.
+void BM_P4PacketPipelineLearned(benchmark::State& state) {
+  constexpr uint64_t kPorts = 256, kHosts = 4096, kPairs = 1024;
+  struct Frame {
+    uint64_t port;
+    net::Packet packet;
+    uint64_t out_port;
+  };
+  auto mac_of = [](uint64_t host) { return net::Mac(0x020000000000ULL + host); };
+  auto port_of = [](uint64_t host) { return 1 + host % kPorts; };
+  auto frame_of = [](net::Mac dst, net::Mac src) {
+    return net::MakeEthernetFrame(dst, src, 0x0800,
+                                  std::vector<uint8_t>(50, 0x5A));
+  };
+  auto stack = snvs::BuildSnvsStack().value();
+  for (uint64_t port = 1; port <= kPorts; ++port) {
+    (void)stack->AddPort(
+        StrFormat("p%llu", static_cast<unsigned long long>(port)),
+        static_cast<int64_t>(port), "access",
+        static_cast<int64_t>(10 + (port - 1) % 16));
+  }
+  // A broadcast from each host teaches its port (host h: VLAN 10 + h % 16).
+  for (uint64_t host = 0; host < kHosts; ++host) {
+    (void)stack->InjectPacket(0, port_of(host),
+                              frame_of(net::Mac::Broadcast(), mac_of(host)));
+  }
+  std::mt19937_64 rng(1);
+  std::vector<Frame> frames;
+  for (uint64_t i = 0; i < kPairs; ++i) {
+    // The same VLAN (host % 16) on another port (host % 256).
+    uint64_t src = rng() % kHosts;
+    uint64_t dst = (src + 16 * (1 + rng() % 15 + 16 * (rng() % 16))) % kHosts;
+    frames.push_back(
+        Frame{port_of(src), frame_of(mac_of(dst), mac_of(src)), port_of(dst)});
+  }
+  p4::Switch& device = stack->device();
+  auto out = device.ProcessPacket(p4::PacketIn{frames[0].port,
+                                               frames[0].packet});
+  if (!out.ok() || out->size() != 1 || (*out)[0].port != frames[0].out_port ||
+      !device.TakeDigests().empty() ||
+      device.GetTable("Dmac")->size() != kHosts) {
+    state.SkipWithError("hosts not learned: the frame is not forwarded as "
+                        "in the steady state");
+    return;
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const Frame& frame = frames[next++ % kPairs];
+    benchmark::DoNotOptimize(
+        device.ProcessPacket(p4::PacketIn{frame.port, frame.packet}));
+  }
+}
+BENCHMARK(BM_P4PacketPipelineLearned)
+    ->Name("BM_P4PacketPipeline/unicast_64B_4096_hosts_256_ports")
     ->Repetitions(5);
 
 /// End-to-end: one management-plane change through all three planes.
