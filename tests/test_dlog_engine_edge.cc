@@ -5,6 +5,8 @@
 // patterns, and engine misuse errors.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <memory>
 #include <random>
 
 #include "dlog/engine.h"
@@ -439,6 +441,32 @@ TEST(DlogEdge, BigintOverflowWraps) {
                    I(INT64_MAX), I(INT64_MAX), I(INT64_MAX)}),
                 R({I(INT64_MAX), I(-2), I(0), I(1), I(-INT64_MAX),
                    I(INT64_MAX)})}));
+}
+
+/// Holds an engine in a function-local static that is filled on first use,
+/// commits rows into it and exits.  The static is constructed before the
+/// arena's slab registry, so static destruction reaches it last; its nodes
+/// live in the registry's slabs.
+[[noreturn]] void BuildStaticEngineAndExit() {
+  static std::unique_ptr<Engine> engine;
+  engine = std::make_unique<Engine>(MustParse(R"(
+    input relation P(x: bigint)
+    output relation O(x: bigint)
+    O(x) :- P(x).
+  )"));
+  for (int64_t i = 0; i < 2000; ++i) {
+    if (!engine->Insert("P", R({I(i)})).ok()) std::exit(2);
+  }
+  if (!engine->Commit().ok()) std::exit(3);
+  std::exit(0);
+}
+
+TEST(DlogEdge, StaticEngineBuiltOnFirstUseExitsCleanly) {
+  // The threadsafe style runs this test alone in a fresh process.  Under
+  // the fast style an earlier test in this binary has already built the
+  // registry, and the hazard cannot show.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(BuildStaticEngineAndExit(), ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
