@@ -53,8 +53,7 @@ void PutLe64(std::string& out, uint64_t v) {
 
 }  // namespace
 
-Json DurableStore::SnapshotJson(const ovsdb::Database& db,
-                                int64_t digest_seq) {
+Json DurableStore::SnapshotJson(const ovsdb::Database& db) {
   Json::Object tables;
   for (const auto& [table_name, table_schema] : db.schema().tables) {
     std::vector<const ovsdb::Row*> rows = db.GetRows(table_name);
@@ -79,7 +78,6 @@ Json DurableStore::SnapshotJson(const ovsdb::Database& db,
   Json::Object doc;
   doc["format"] = Json(kSnapshotFormat);
   doc["schema"] = Json(db.schema().name);
-  doc["digest_seq"] = Json(digest_seq);
   doc["tables"] = Json(std::move(tables));
   return Json(std::move(doc));
 }
@@ -191,18 +189,11 @@ std::unique_ptr<ovsdb::Database> DurableStore::Release() && {
 namespace {
 
 /// Reads, checksum-verifies, parses, and applies one snapshot file.
-/// Returns the recovered digest_seq.
-Result<int64_t> RestoreSnapshotFile(ovsdb::Database& db, Io& io,
-                                    const std::string& path) {
+Status RestoreSnapshotFile(ovsdb::Database& db, Io& io,
+                           const std::string& path) {
   NERPA_ASSIGN_OR_RETURN(std::string text, io.ReadFile(path));
   NERPA_ASSIGN_OR_RETURN(Json snapshot, DurableStore::DecodeSnapshot(text));
-  NERPA_RETURN_IF_ERROR(DurableStore::ApplySnapshot(db, snapshot));
-  int64_t digest_seq = 0;
-  if (const Json* seq = snapshot.Find("digest_seq");
-      seq != nullptr && seq->is_integer()) {
-    digest_seq = seq->as_integer();
-  }
-  return digest_seq;
+  return DurableStore::ApplySnapshot(db, snapshot);
 }
 
 }  // namespace
@@ -224,7 +215,6 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
 
   bool recovered = false;
   bool fell_back = false;
-  int64_t digest_seq = 0;
   uint64_t snapshot_rows = 0;
   uint64_t replayed = 0;
   uint64_t truncated = 0;
@@ -234,15 +224,14 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   };
 
   if (io->Exists(snap)) {
-    Result<int64_t> seq = RestoreSnapshotFile(*db, *io, snap);
-    if (seq.ok()) {
-      digest_seq = seq.value();
+    Status restored = RestoreSnapshotFile(*db, *io, snap);
+    if (restored.ok()) {
       recovered = true;
     } else {
       // Corrupt current snapshot: fall back to the previous snapshot plus
       // the longer WAL replay (wal.jsonl.1 first, then wal.jsonl).
       LOG_WARNING << "ha: snapshot '" << snap << "' unusable ("
-               << seq.status().ToString()
+               << restored.ToString()
                << "); falling back to previous snapshot";
       fell_back = true;
       db = std::make_unique<ovsdb::Database>(db->schema());
@@ -254,12 +243,11 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
     // the previous generation.
     fell_back = true;
     if (io->Exists(snap1)) {
-      Result<int64_t> seq = RestoreSnapshotFile(*db, *io, snap1);
-      if (!seq.ok()) {
+      Status restored = RestoreSnapshotFile(*db, *io, snap1);
+      if (!restored.ok()) {
         return Internal("both snapshot generations unusable under '" + dir +
-                        "': " + seq.status().ToString());
+                        "': " + restored.ToString());
       }
-      digest_seq = seq.value();
       recovered = true;
     }
     if (io->Exists(wal1)) {
@@ -282,7 +270,6 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   auto store = std::unique_ptr<DurableStore>(
       new DurableStore(std::move(db), std::move(wal), dir, io));
   store->recovered_ = recovered;
-  store->recovered_digest_seq_ = digest_seq;
   store->recovered_snapshot_rows_ = snapshot_rows;
   store->recovered_wal_records_ = replayed + store->wal_.records_replayed();
   store->recovered_truncated_tail_ = truncated;
@@ -300,8 +287,8 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   return store;
 }
 
-Status DurableStore::Checkpoint(int64_t digest_seq) {
-  Json snapshot = SnapshotJson(*db_, digest_seq);
+Status DurableStore::Checkpoint() {
+  Json snapshot = SnapshotJson(*db_);
   const std::string snap = SnapshotPath(dir_);
   // Crash-safe rotation: after every individual step below, the on-disk
   // state still recovers to the current database under Open()'s rules
@@ -332,7 +319,6 @@ Status DurableStore::Checkpoint(int64_t digest_seq) {
   for (const auto& [table, unused] : db_->schema().tables) {
     snapshot_rows_ += db_->RowCount(table);
   }
-  recovered_digest_seq_ = digest_seq;
   return Status::Ok();
 }
 

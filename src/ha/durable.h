@@ -4,9 +4,8 @@
 // control planes" open (§5); this is the single-node half of that story.
 // A DurableStore owns an ovsdb::Database plus an on-disk state directory:
 //
-//   <dir>/snapshot.json    full database image + controller checkpoint
-//                          (digest seq), written atomically (tmp + rename)
-//                          with a CRC32 trailer line
+//   <dir>/snapshot.json    full database image, written atomically
+//                          (tmp + rename) with a CRC32 trailer line
 //   <dir>/wal.jsonl        every transaction committed since the snapshot,
 //                          CRC32-framed, appended and flushed before the
 //                          commit returns (via Database::AddCommitHook)
@@ -28,12 +27,11 @@
 //     reconstructs the same state (invariant: snapshot.json.1 + wal.jsonl.1
 //     == snapshot.json).  Counted in Stats::snapshot_fallbacks.
 //
-// The control plane needs no separate durability: it is a pure function of
-// the management plane plus the digest stream, and is re-derived on
-// restart.  What must survive is the controller's digest sequence cursor
-// (most-recent-wins MAC learning orders notifications by it); Checkpoint()
-// persists it and recovered_digest_seq() hands it back for
-// Controller::Options::initial_digest_seq.
+// The snapshot holds no control-plane state: the control plane is a pure
+// function of the management plane plus the digest stream, and is
+// re-derived on restart.  An engine checkpoint sidecar (below) only spares
+// the recomputation and carries learned state across; the controller
+// derives its digest sequence cursor from the digest rows it restores.
 #ifndef NERPA_HA_DURABLE_H_
 #define NERPA_HA_DURABLE_H_
 
@@ -74,12 +72,8 @@ class DurableStore {
   /// to the append/fsync path (see WriteAheadLog::AttachWatchdog).
   WriteAheadLog& wal() { return wal_; }
 
-  /// The digest sequence saved by the last Checkpoint(); 0 if none.
-  int64_t recovered_digest_seq() const { return recovered_digest_seq_; }
-
-  /// Writes a full snapshot (including `digest_seq`, the controller's
-  /// sequence cursor) and compacts the WAL.
-  Status Checkpoint(int64_t digest_seq);
+  /// Writes a full snapshot and compacts the WAL.
+  Status Checkpoint();
 
   // --- Engine checkpoint sidecars ---
   //
@@ -111,7 +105,7 @@ class DurableStore {
 
   /// Serializes a database into the snapshot JSON document (exposed for
   /// tests and benches that need to measure snapshot size directly).
-  static Json SnapshotJson(const ovsdb::Database& db, int64_t digest_seq);
+  static Json SnapshotJson(const ovsdb::Database& db);
 
   /// Renders a snapshot document into its on-disk form: the JSON text
   /// followed by a CRC32 trailer line.
@@ -121,7 +115,9 @@ class DurableStore {
   /// without a trailer are accepted unverified.
   static Result<Json> DecodeSnapshot(const std::string& text);
 
-  /// Applies a parsed snapshot document to an empty database.
+  /// Applies a parsed snapshot document to an empty database.  Keys other
+  /// than "format" and "tables" (older snapshots carry "digest_seq") are
+  /// ignored.
   static Status ApplySnapshot(ovsdb::Database& db, const Json& snapshot);
 
   /// Detaches and returns the database, ending durability (no further WAL
@@ -138,7 +134,6 @@ class DurableStore {
   Io* io_ = nullptr;
   uint64_t hook_id_ = 0;
   bool recovered_ = false;
-  int64_t recovered_digest_seq_ = 0;
   uint64_t checkpoints_ = 0;
   uint64_t snapshot_rows_ = 0;
   uint64_t recovered_snapshot_rows_ = 0;

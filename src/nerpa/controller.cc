@@ -30,7 +30,6 @@ Controller::Controller(ovsdb::Database* db,
       p4_program_(std::move(p4_program)),
       bindings_(std::move(bindings)),
       options_(std::move(options)) {
-  digest_seq_ = options_.initial_digest_seq;
   role_.store(options_.initial_role, std::memory_order_release);
   fence_epoch_.store(options_.fence_epoch, std::memory_order_release);
 }
@@ -43,14 +42,6 @@ Controller::Controller(ovsdb::Database* db,
                  std::move(bindings), Options()) {}
 
 Controller::~Controller() {
-  if (anti_entropy_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(anti_entropy_mu_);
-      stopping_ = true;
-    }
-    anti_entropy_cv_.notify_all();
-    anti_entropy_thread_.join();
-  }
   if (monitor_id_ != 0) db_->RemoveMonitor(monitor_id_);
 }
 
@@ -135,10 +126,7 @@ Status Controller::Start() {
     Result<std::unique_ptr<dlog::Engine>> restored =
         dlog::Engine::Restore(program_, options_.engine_checkpoint);
     if (restored.ok()) {
-      engine_ = std::move(restored).value();
-      reconcile_restored_ = true;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.engine_restores;
+      NERPA_RETURN_IF_ERROR(AdoptRestoredEngine(std::move(restored).value()));
     } else {
       LOG_WARNING << "controller: engine checkpoint rejected ("
                   << restored.status().ToString() << "); cold-starting";
@@ -148,21 +136,9 @@ Status Controller::Start() {
   }
   if (engine_ == nullptr) engine_ = std::make_unique<dlog::Engine>(program_);
   started_ = true;
-  // Restart mode: let the engine absorb the initial state without writing
-  // to devices, then reconcile each device against the derived state.
-  suppress_writes_ = options_.resync_on_start;
-  // The restored engine's multicast rows never flowed through a delta, so
-  // the membership bookkeeping must be seeded from a dump before the first
-  // update lands on top of it.
-  if (reconcile_restored_ && !options_.multicast_relation.empty()) {
-    NERPA_ASSIGN_OR_RETURN(std::vector<dlog::Row> rows,
-                           engine_->Dump(options_.multicast_relation));
-    dlog::SetDelta seed;
-    seed.reserve(rows.size());
-    for (dlog::Row& row : rows) seed.emplace_back(std::move(row), +1);
-    std::vector<DeviceBatch> none;
-    NERPA_RETURN_IF_ERROR(ApplyMulticastDelta(seed, none));
-  }
+  // Absorb the initial state without device writes; the resync below
+  // writes each device only its diff against the derived state.
+  suppress_writes_ = true;
   // Outputs derived from facts (empty for a restored engine — its fact
   // derivations are already part of the checkpointed state).
   dlog::TxnDelta initial = engine_->TakeInitialDelta();
@@ -187,31 +163,13 @@ Status Controller::Start() {
     // an empty snapshot (deleting every restored management-plane row).
     OnOvsdbUpdate(ovsdb::TableUpdates{});
   }
-  if (options_.resync_on_start) {
-    suppress_writes_ = false;
-    // A follower skips the device reconciliation — it owns no devices.
-    // Promote() runs exactly this resync when leadership arrives.
-    if (role_.load(std::memory_order_acquire) == Role::kLeader) {
-      NERPA_RETURN_IF_ERROR(ResyncAllDevices());
-    }
-  }
-  if (options_.anti_entropy_interval_nanos > 0) {
-    anti_entropy_thread_ = std::thread([this] {
-      std::unique_lock<std::mutex> lock(anti_entropy_mu_);
-      while (!stopping_) {
-        anti_entropy_cv_.wait_for(
-            lock,
-            std::chrono::nanoseconds(options_.anti_entropy_interval_nanos));
-        if (stopping_) break;
-        lock.unlock();
-        Status probed = RunAntiEntropy();
-        if (!probed.ok()) {
-          LOG_WARNING << "controller: anti-entropy round failed: "
-                      << probed.ToString();
-        }
-        lock.lock();
-      }
-    });
+  // Plane lock, as in Promote(): the resync reads the engine.
+  std::lock_guard<std::mutex> plane(sync_mu_);
+  suppress_writes_ = false;
+  // A follower skips the device reconciliation — it owns no devices.
+  // Promote() runs exactly this resync when leadership arrives.
+  if (role_.load(std::memory_order_acquire) == Role::kLeader) {
+    NERPA_RETURN_IF_ERROR(ResyncAllDevices());
   }
   return last_error();
 }
@@ -236,9 +194,9 @@ Status Controller::ArbitrateAllLocked() {
 }
 
 void Controller::RecoverDigestSeqLocked() {
-  // The engine state (possibly the old leader's checkpoint) carries the
-  // sequence numbers the old leader assigned; most-recent-wins rules break
-  // if this leader reuses one, so start strictly above the maximum.
+  // Digest rows are only ever inserted, so the engine (possibly the old
+  // leader's checkpoint) holds every sequence number that can still win a
+  // most-recent-wins comparison; start strictly above the maximum.
   int64_t max_seen = -1;
   for (const DigestBinding& binding : bindings_.digests) {
     if (!binding.has_seq) continue;
@@ -322,13 +280,32 @@ Status Controller::ReloadEngineCheckpoint(const std::string& checkpoint) {
   Result<std::unique_ptr<dlog::Engine>> restored =
       dlog::Engine::Restore(program_, checkpoint);
   if (!restored.ok()) return restored.status();
-  engine_ = std::move(restored).value();
+  NERPA_RETURN_IF_ERROR(AdoptRestoredEngine(std::move(restored).value()));
+  // Reconcile the checkpoint against the live database: feed the current
+  // contents of every bound table as one synthetic snapshot.  Inserting a
+  // present row is a set-semantics no-op; rows the checkpoint holds that
+  // the database no longer does are deleted by the catch-up pass.
+  ovsdb::TableUpdates snapshot;
+  for (const OvsdbBinding& binding : bindings_.ovsdb_tables) {
+    ovsdb::TableUpdate& table = snapshot[binding.table];
+    for (const ovsdb::Row* row : db_->GetRows(binding.table)) {
+      ovsdb::RowUpdate update;
+      update.new_row = std::make_shared<const ovsdb::Row>(*row);
+      table.emplace(row->uuid, std::move(update));
+    }
+  }
+  return ProcessOvsdbUpdates(snapshot);
+}
+
+Status Controller::AdoptRestoredEngine(std::unique_ptr<dlog::Engine> engine) {
+  engine_ = std::move(engine);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.engine_restores;
   }
-  // Reseed the multicast bookkeeping from the restored state (same dance
-  // as a warm Start(): those rows never flowed through a delta).
+  // The restored engine's multicast rows never flowed through a delta, so
+  // the membership bookkeeping is seeded from a dump before the first
+  // update lands on top of it.
   multicast_members_.clear();
   if (!options_.multicast_relation.empty()) {
     NERPA_ASSIGN_OR_RETURN(std::vector<dlog::Row> rows,
@@ -340,21 +317,8 @@ Status Controller::ReloadEngineCheckpoint(const std::string& checkpoint) {
     NERPA_RETURN_IF_ERROR(ApplyMulticastDelta(seed, none));
   }
   RecoverDigestSeqLocked();
-  // Reconcile the checkpoint against the live database: feed the current
-  // contents of every bound table as one synthetic snapshot.  Inserting a
-  // present row is a set-semantics no-op; rows the checkpoint holds that
-  // the database no longer does are deleted by the catch-up pass.
   reconcile_restored_ = true;
-  ovsdb::TableUpdates snapshot;
-  for (const OvsdbBinding& binding : bindings_.ovsdb_tables) {
-    ovsdb::TableUpdate& table = snapshot[binding.table];
-    for (const ovsdb::Row* row : db_->GetRows(binding.table)) {
-      ovsdb::RowUpdate update;
-      update.new_row = std::make_shared<const ovsdb::Row>(*row);
-      table.emplace(row->uuid, std::move(update));
-    }
-  }
-  return ProcessOvsdbUpdates(snapshot);
+  return Status::Ok();
 }
 
 Status Controller::ResyncAllDevices() {
@@ -379,8 +343,8 @@ Status Controller::ResyncAllDevices() {
 }
 
 void Controller::OnOvsdbUpdate(const ovsdb::TableUpdates& updates) {
-  // Plane lock: the monitor callback races the anti-entropy thread for
-  // the engine and the multicast bookkeeping.
+  // Plane lock: the monitor callback races anti-entropy and the role
+  // machine for the engine and the multicast bookkeeping.
   std::lock_guard<std::mutex> plane(sync_mu_);
   Status status = ProcessOvsdbUpdates(updates);
   if (!status.ok()) {
@@ -597,7 +561,6 @@ void Controller::QuarantineLocked(Device& device) {
 }
 
 void Controller::EscalateCooldownLocked(Device& device) {
-  const BreakerPolicy& breaker = options_.breaker;
   int64_t cooldown = device.next_cooldown_nanos;
   // Jitter the quiet period: breakers tripped by one shared outage must
   // not send their half-open probes (each a full resync) in lockstep at
@@ -607,10 +570,8 @@ void Controller::EscalateCooldownLocked(Device& device) {
       cooldown > 0 ? JitterNanos(cooldown, 0.2, &breaker_rng_) : cooldown;
   device.cooldown_until_nanos = MonotonicNanos() + jittered;
   if (cooldown > 0) {
-    device.next_cooldown_nanos = std::min<int64_t>(
-        breaker.max_cooldown_nanos,
-        static_cast<int64_t>(static_cast<double>(cooldown) *
-                             breaker.cooldown_multiplier));
+    // Doubles, capped at 1 s.
+    device.next_cooldown_nanos = std::min<int64_t>(2 * cooldown, 1'000'000'000);
   }
 }
 
@@ -735,9 +696,9 @@ Status Controller::ExecuteBatch(DeviceBatch& batch, const Deadline& deadline) {
 Status Controller::ApplyOutputDelta(const dlog::TxnDelta& delta) {
   if (suppress_writes_ ||
       role_.load(std::memory_order_acquire) != Role::kLeader) {
-    // Startup resync, or a follower/demoted controller: the engine itself
+    // Start() loading, or a follower/demoted controller: the engine itself
     // accumulates the desired table state, so entry conversion is deferred
-    // to ResyncDeviceImpl (at Start() for resync, at Promote() for a
+    // to ResyncDeviceImpl (at the end of Start(), at Promote() for a
     // follower); only the multicast membership bookkeeping must be kept
     // current.
     std::vector<DeviceBatch> none;

@@ -18,14 +18,12 @@
 #define NERPA_NERPA_CONTROLLER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/deadline.h"
@@ -67,10 +65,8 @@ class Controller {
     /// Consecutive strikes before the breaker opens.
     int strike_threshold = 1;
     /// Quiet period before an open breaker admits an anti-entropy probe;
-    /// doubles (by cooldown_multiplier) after each failed probe.
+    /// doubles after each failed probe, up to 1 s.
     int64_t cooldown_nanos = 0;
-    double cooldown_multiplier = 2.0;
-    int64_t max_cooldown_nanos = 1000000000;   // 1 s cap
     /// A *successful* write call slower than this counts as a strike
     /// (slow device ≠ healthy device); 0 disables timeout strikes.  It
     /// budgets one call — a commit's whole delete or insert phase for the
@@ -85,18 +81,6 @@ class Controller {
     /// ([device: string,] group: bit<16>, port: bit<16>) — device present
     /// iff the bindings were generated with a device column.
     std::string multicast_relation;
-
-    /// Restart mode: instead of blindly installing every derived entry,
-    /// Start() reads each device's actual tables (RuntimeClient::ReadTable)
-    /// and multicast groups, diffs them against the desired state derived
-    /// from the output relations, and applies only the minimal
-    /// delete/modify/insert set — zero writes when already converged.
-    bool resync_on_start = false;
-
-    /// First digest sequence number to assign, so most-recent-wins
-    /// ordering stays monotone across controller restarts (persisted by
-    /// ha::DurableStore::Checkpoint).
-    int64_t initial_digest_seq = 0;
 
     /// Engine checkpoint blob (from CheckpointEngine(), persisted through
     /// ha::DurableStore::WriteEngineCheckpoint) to warm-start from.  When
@@ -118,13 +102,6 @@ class Controller {
     RetryPolicy retry;
 
     BreakerPolicy breaker;
-
-    /// When > 0, Start() spawns a background anti-entropy thread that
-    /// calls RunAntiEntropy() at this interval (serialized against the
-    /// update paths by the plane lock).  0 = pump RunAntiEntropy()
-    /// explicitly — the default, matching the repo's no-hidden-threads
-    /// convention.
-    int64_t anti_entropy_interval_nanos = 0;
 
     /// Replication role at Start().  Followers track everything but write
     /// nothing (and never drain digests — those are consumed destructively
@@ -185,9 +162,10 @@ class Controller {
   /// when the device is already converged.
   Status ResyncDevice(const std::string& name);
 
-  /// Type-checks the program against the bindings, applies fact-derived
-  /// outputs, and subscribes to the management plane (receiving the current
-  /// contents as the first delta).  Call after AddDevice().
+  /// Type-checks the program against the bindings and subscribes to the
+  /// management plane, absorbing its current contents with device writes
+  /// deferred.  A leader then reconciles every device with the minimal-diff
+  /// resync; a follower leaves that to Promote().  Call after AddDevice().
   Status Start();
 
   /// Drains digests from every device through the control plane.  Returns
@@ -279,12 +257,11 @@ class Controller {
     uint64_t demotions = 0;                 // leader → follower transitions
     uint64_t fenced_writes_rejected = 0;    // writes refused for stale epoch
   };
-  /// Snapshot of the counters (thread-safe against the commit path and
-  /// the anti-entropy thread).
+  /// Snapshot of the counters (thread-safe against the commit path).
   Stats stats() const;
 
-  /// Next digest sequence number to be assigned (checkpoint this through
-  /// ha::DurableStore so a restarted controller keeps the order monotone).
+  /// Next digest sequence number to be assigned.  Never persisted: it
+  /// starts above every seq in a restored engine (RecoverDigestSeqLocked).
   int64_t digest_seq() const { return digest_seq_; }
 
   /// Serializes the Datalog engine's derived state (between transactions)
@@ -295,7 +272,7 @@ class Controller {
 
   /// First error hit inside a monitor callback (callbacks cannot return
   /// Status); ok() if none.  Snapshot under the stats lock: callbacks may
-  /// set it from the service or anti-entropy thread.
+  /// set it from the service thread.
   Status last_error() const {
     std::lock_guard<std::mutex> lock(stats_mu_);
     return last_error_;
@@ -399,6 +376,10 @@ class Controller {
   /// Reconciles every registered device on the calling thread, in
   /// registration order.
   Status ResyncAllDevices();
+  /// Installs an engine restored from a checkpoint: counts it, reseeds the
+  /// multicast bookkeeping, derives the digest cursor and arms the catch-up.
+  /// Caller holds sync_mu_ (or is in Start()).
+  Status AdoptRestoredEngine(std::unique_ptr<dlog::Engine> engine);
   /// Stamps `epoch` on every device client.  Caller holds sync_mu_ (or is
   /// in single-threaded setup before Start()).
   void SetFenceTokensLocked(uint64_t epoch);
@@ -408,8 +389,8 @@ class Controller {
   Status ArbitrateAllLocked();
   /// Raises digest_seq_ above every sequence number present in the
   /// engine's digest relations, so most-recent-wins ordering survives a
-  /// failover (a new leader must never reissue a sequence number the old
-  /// leader already assigned).  Caller holds sync_mu_.
+  /// restart or failover (never reissue a sequence number the previous
+  /// leader already assigned).  Caller holds sync_mu_ (or is in Start()).
   void RecoverDigestSeqLocked();
 
   ovsdb::Database* db_;
@@ -421,12 +402,11 @@ class Controller {
   std::vector<Device> devices_;
   uint64_t monitor_id_ = 0;
   bool started_ = false;
-  // Start()-with-resync runs the initial delta with device writes
-  // suppressed (desired state accumulates in the engine), then reconciles
-  // each device against it.
+  // Set while Start() absorbs the initial state: desired state accumulates
+  // in the engine, and the startup resync writes the devices.
   bool suppress_writes_ = false;
-  // Set when Start() restored the engine from a checkpoint; consumed by
-  // the first ProcessOvsdbUpdates to run the catch-up reconciliation.
+  // Set by AdoptRestoredEngine; consumed by the next ProcessOvsdbUpdates
+  // to run the catch-up reconciliation.
   bool reconcile_restored_ = false;
   int64_t digest_seq_ = 0;
   /// Replication role.  Atomic so the write path can observe a demotion
@@ -439,8 +419,8 @@ class Controller {
   std::map<std::pair<std::string, uint32_t>, std::vector<uint64_t>>
       multicast_members_;
   /// Plane lock: serializes engine, bookkeeping and device access between
-  /// the update paths (monitor callback, digest drain) and anti-entropy
-  /// (explicit or background-thread).
+  /// the update paths (monitor callback, digest drain), anti-entropy and
+  /// the role machine.
   std::mutex sync_mu_;
   mutable std::mutex stats_mu_;  // guards stats_ + breaker state + last_error_
   Stats stats_;
@@ -452,11 +432,6 @@ class Controller {
   /// Jitter state for breaker cooldowns (guarded by stats_mu_, like the
   /// breaker fields it randomizes).
   uint64_t breaker_rng_ = 0x9e3779b97f4a7c15ULL;
-  // Background anti-entropy loop (Options.anti_entropy_interval_nanos).
-  std::thread anti_entropy_thread_;
-  std::mutex anti_entropy_mu_;
-  std::condition_variable anti_entropy_cv_;
-  bool stopping_ = false;
 };
 
 }  // namespace nerpa

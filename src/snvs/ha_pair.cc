@@ -30,13 +30,11 @@ Result<std::unique_ptr<SnvsHaPair>> BuildSnvsHaPair(
   // renewals must not appear as Datalog deltas (and must not perturb the
   // program fingerprint engine checkpoints are validated against).
   ovsdb::DatabaseSchema shared = ovsdb::WithLeaderLease(SnvsSchema());
-  int64_t recovered_digest_seq = 0;
   if (!options.ha_dir.empty()) {
     NERPA_ASSIGN_OR_RETURN(
         pair->store_,
         ha::DurableStore::Open(shared, options.ha_dir, options.io));
     pair->db_raw_ = &pair->store_->db();
-    recovered_digest_seq = pair->store_->recovered_digest_seq();
     if (options.watchdog != nullptr) {
       pair->store_->wal().AttachWatchdog(options.watchdog, kWalSubsystem,
                                          options.wal_stuck_timeout_nanos);
@@ -62,8 +60,8 @@ Result<std::unique_ptr<SnvsHaPair>> BuildSnvsHaPair(
   }
 
   // Recovered deployments warm-start both replicas from the persisted
-  // engine sidecar; RecoverDigestSeqLocked at promotion re-derives the
-  // sequence floor even if the sidecar is older than the snapshot.
+  // engine sidecar; each derives its digest sequence floor from the
+  // restored digest rows, even if the sidecar is older than the snapshot.
   std::string warm;
   if (pair->store_ != nullptr && pair->store_->recovered()) {
     Result<std::string> blob =
@@ -76,7 +74,6 @@ Result<std::unique_ptr<SnvsHaPair>> BuildSnvsHaPair(
                   << blob.status().ToString() << "); recomputing";
     }
   }
-  pair->recovered_digest_seq_ = recovered_digest_seq;
   for (size_t i = 0; i < SnvsHaPair::kReplicas; ++i) {
     NERPA_RETURN_IF_ERROR(pair->BuildReplica(i, warm));
   }
@@ -108,7 +105,6 @@ Status SnvsHaPair::BuildReplica(size_t index,
   Controller::Options controller_options;
   controller_options.multicast_relation = "MulticastGroup";
   controller_options.initial_role = Role::kFollower;
-  controller_options.initial_digest_seq = recovered_digest_seq_;
   controller_options.engine_checkpoint = warm_checkpoint;
   controller_options.retry = options_.retry;
   controller_options.breaker = options_.breaker;
@@ -201,7 +197,7 @@ Status SnvsHaPair::Checkpoint() {
                          leader_controller.CheckpointEngine());
   last_engine_checkpoint_ = blob;
   if (store_ != nullptr) {
-    NERPA_RETURN_IF_ERROR(store_->Checkpoint(leader_controller.digest_seq()));
+    NERPA_RETURN_IF_ERROR(store_->Checkpoint());
     NERPA_RETURN_IF_ERROR(
         store_->WriteEngineCheckpoint(kEngineCheckpointName, blob));
   }

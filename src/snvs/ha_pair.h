@@ -180,7 +180,6 @@ class SnvsHaPair {
   std::shared_ptr<const dlog::Program> program_;
   std::string program_text_;
   std::string last_engine_checkpoint_;  // latest Checkpoint() blob
-  int64_t recovered_digest_seq_ = 0;    // from a recovered durable store
   uint64_t wal_demotions_ = 0;          // stuck-WAL self-demotions
   Replica replicas_[kReplicas];
 };

@@ -269,17 +269,11 @@ Dmac(v, m, "Forward", p) :- BestLearn(v, m, p).
 }
 
 Result<std::unique_ptr<SnvsStack>> BuildSnvsStack(const SnvsOptions& options) {
-  if (options.with_device_column) {
-    return InvalidArgument(
-        "snvs rules are written for single-program deployments; see "
-        "examples/multi_device.cc for device-column bindings");
-  }
   if (options.devices < 1) {
     return InvalidArgument("need at least one device");
   }
   auto stack = std::unique_ptr<SnvsStack>(new SnvsStack());
   bool recovered = false;
-  int64_t digest_seq = 0;
   if (!options.ha_dir.empty()) {
     NERPA_ASSIGN_OR_RETURN(stack->store_,
                            ha::DurableStore::Open(SnvsSchema(),
@@ -287,7 +281,6 @@ Result<std::unique_ptr<SnvsStack>> BuildSnvsStack(const SnvsOptions& options) {
                                                   options.io));
     stack->db_raw_ = &stack->store_->db();
     recovered = stack->store_->recovered();
-    digest_seq = stack->store_->recovered_digest_seq();
   } else {
     stack->db_ = std::make_unique<ovsdb::Database>(SnvsSchema());
     stack->db_raw_ = stack->db_.get();
@@ -328,8 +321,6 @@ Result<std::unique_ptr<SnvsStack>> BuildSnvsStack(const SnvsOptions& options) {
 
   Controller::Options controller_options;
   controller_options.multicast_relation = "MulticastGroup";
-  controller_options.resync_on_start = recovered || options.resync;
-  controller_options.initial_digest_seq = digest_seq;
   if (recovered) {
     // Warm-start the control plane from the engine checkpoint sidecar when
     // one survived.  Any failure here (absent, corrupt, stale program) just
@@ -345,8 +336,6 @@ Result<std::unique_ptr<SnvsStack>> BuildSnvsStack(const SnvsOptions& options) {
   }
   controller_options.retry = options.retry;
   controller_options.breaker = options.breaker;
-  controller_options.anti_entropy_interval_nanos =
-      options.anti_entropy_interval_nanos;
   controller_options.commit_deadline_nanos = options.commit_deadline_nanos;
   controller_options.watchdog = options.watchdog;
   stack->controller_ = std::make_unique<Controller>(
@@ -369,10 +358,11 @@ Status SnvsStack::Checkpoint() {
   if (store_ == nullptr) {
     return FailedPrecondition("stack was built without ha_dir");
   }
-  NERPA_RETURN_IF_ERROR(store_->Checkpoint(controller_->digest_seq()));
+  NERPA_RETURN_IF_ERROR(store_->Checkpoint());
   // Engine sidecar after the snapshot: a crash in between leaves an older
   // sidecar beside a newer snapshot, which restore reconciles (catch-up
-  // diff for management rows; digest state is soft and re-learned).
+  // diff for management rows; digest state is soft and re-learned, with
+  // sequence numbers above every restored one).
   NERPA_ASSIGN_OR_RETURN(std::string blob, controller_->CheckpointEngine());
   return store_->WriteEngineCheckpoint(kEngineCheckpointName, blob);
 }

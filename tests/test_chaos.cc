@@ -186,7 +186,7 @@ void SnvsSoak(uint64_t seed, FaultTally& tally) {
   // whole system from scratch off the same durable directory with no
   // chaos anywhere.  Management plane and every interpreted P4 table must
   // come back byte-identical.
-  Json db_state = ha::DurableStore::SnapshotJson(stack->db(), 0);
+  Json db_state = ha::DurableStore::SnapshotJson(stack->db());
   std::vector<std::string> device_states;
   for (size_t i = 0; i < stack->device_count(); ++i) {
     device_states.push_back(DeviceState(stack->device(i)));
@@ -201,7 +201,7 @@ void SnvsSoak(uint64_t seed, FaultTally& tally) {
   auto reference = snvs::BuildSnvsStack(clean);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   EXPECT_TRUE((*reference)->store()->recovered());
-  EXPECT_EQ(ha::DurableStore::SnapshotJson((*reference)->db(), 0), db_state)
+  EXPECT_EQ(ha::DurableStore::SnapshotJson((*reference)->db()), db_state)
       << "seed " << seed << ": management plane diverged";
   for (size_t i = 0; i < device_states.size(); ++i) {
     EXPECT_EQ(DeviceState((*reference)->device(i)), device_states[i])
@@ -510,7 +510,7 @@ void FailoverSoak(uint64_t seed, FaultTally& tally,
       static_cast<uint64_t>(pair.lease(static_cast<size_t>(leader)).epoch());
   EXPECT_GE(final_epoch, 1u + lease_tally.total())
       << "every lease fault should have bumped the epoch";
-  Json db_state = ha::DurableStore::SnapshotJson(pair.db(), 0);
+  Json db_state = ha::DurableStore::SnapshotJson(pair.db());
   std::vector<std::string> device_states;
   for (size_t d = 0; d < pair.device_count(); ++d) {
     device_states.push_back(DeviceState(pair.device(d)));
@@ -526,7 +526,7 @@ void FailoverSoak(uint64_t seed, FaultTally& tally,
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   // Management plane first — before any Tick, whose lease renewal would
   // legitimately rewrite the Leader_Lease row.
-  EXPECT_EQ(ha::DurableStore::SnapshotJson((*reference)->db(), 0), db_state)
+  EXPECT_EQ(ha::DurableStore::SnapshotJson((*reference)->db()), db_state)
       << "seed " << seed << ": management plane diverged";
   ASSERT_GE((*reference)->Tick(), 0);  // elect: promotion installs devices
   for (size_t d = 0; d < device_states.size(); ++d) {

@@ -147,10 +147,12 @@ TEST(Controller, LifecycleGuards) {
   // Duplicate device name.
   EXPECT_FALSE(rig.controller->AddDevice("sw0", rig.client1.get()).ok());
   ASSERT_TRUE(rig.controller->Start().ok());
+  // Start() reconciles every registered device once.
+  EXPECT_EQ(rig.controller->stats().resyncs, 1u);
   // Registering after Start() is the device-rejoin path: it succeeds and
   // immediately resynchronizes the newcomer.
   EXPECT_TRUE(rig.controller->AddDevice("sw1", rig.client1.get()).ok());
-  EXPECT_EQ(rig.controller->stats().resyncs, 1u);
+  EXPECT_EQ(rig.controller->stats().resyncs, 2u);
   // Still no duplicate names, and no double start.
   EXPECT_FALSE(rig.controller->AddDevice("sw1", rig.client1.get()).ok());
   EXPECT_FALSE(rig.controller->Start().ok());
@@ -332,10 +334,9 @@ TEST(ControllerDispatch, BurstAcrossDevicesConverges) {
 
 TEST(ControllerDispatch, ResyncOnStartConverges) {
   Controller::Options options;
-  options.resync_on_start = true;
   DeviceRig rig = MakeDeviceRig(3, options);
-  // Rows exist before startup; resync_on_start diffs each (empty) device
-  // against desired state.
+  // Rows exist before startup; Start() diffs each (empty) device against
+  // desired state.
   for (int d = 0; d < 3; ++d) {
     ovsdb::TxnBuilder txn(rig.db.get());
     txn.Insert("Assignment", {{"device", ovsdb::Datum::String(DeviceName(d))},
@@ -364,7 +365,6 @@ TEST(ControllerDispatch, FencedResyncStopsTheRound) {
   // registration order) is left to the newer leader instead of receiving
   // this controller's state.
   Controller::Options options;
-  options.resync_on_start = true;
   options.fence_epoch = 1;
   DeviceRig rig = MakeDeviceRig(2, options);
   p4::RuntimeClient newer(rig.switches[0].get());

@@ -190,7 +190,6 @@ TEST(DurableStore, FreshDirectoryStartsEmpty) {
   auto store = DurableStore::Open(snvs::SnvsSchema(), dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_FALSE((*store)->recovered());
-  EXPECT_EQ((*store)->recovered_digest_seq(), 0);
   EXPECT_EQ((*store)->db().commit_count(), 0u);
 }
 
@@ -203,37 +202,36 @@ TEST(DurableStore, WalOnlyRecoveryReproducesDatabase) {
     ASSERT_TRUE(AddPortRow((*store)->db(), "p1", 1, 10).ok());
     ASSERT_TRUE(AddPortRow((*store)->db(), "p2", 2, 20).ok());
     EXPECT_EQ((*store)->stats().wal_records_appended, 2u);
-    before = DurableStore::SnapshotJson((*store)->db(), 0);
+    before = DurableStore::SnapshotJson((*store)->db());
   }  // "crash": no checkpoint was ever taken
   auto store = DurableStore::Open(snvs::SnvsSchema(), dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_TRUE((*store)->recovered());
   EXPECT_EQ((*store)->stats().recovered_wal_records, 2u);
   // Same rows, same uuids: the snapshot serializations are identical.
-  EXPECT_EQ(DurableStore::SnapshotJson((*store)->db(), 0), before);
+  EXPECT_EQ(DurableStore::SnapshotJson((*store)->db()), before);
 }
 
-TEST(DurableStore, CheckpointCompactsWalAndPersistsDigestSeq) {
+TEST(DurableStore, CheckpointCompactsWal) {
   std::string dir = FreshDir("checkpoint");
   Json before;
   {
     auto store = DurableStore::Open(snvs::SnvsSchema(), dir);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(AddPortRow((*store)->db(), "p1", 1, 10).ok());
-    ASSERT_TRUE((*store)->Checkpoint(/*digest_seq=*/42).ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());
     // Post-snapshot transactions land in the (now compacted) WAL.
     ASSERT_TRUE(AddPortRow((*store)->db(), "p2", 2, 20).ok());
-    before = DurableStore::SnapshotJson((*store)->db(), 0);
+    before = DurableStore::SnapshotJson((*store)->db());
     EXPECT_EQ((*store)->stats().checkpoints, 1u);
     EXPECT_EQ((*store)->stats().snapshot_rows, 1u);
   }
   auto store = DurableStore::Open(snvs::SnvsSchema(), dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_TRUE((*store)->recovered());
-  EXPECT_EQ((*store)->recovered_digest_seq(), 42);
   EXPECT_EQ((*store)->stats().recovered_snapshot_rows, 1u);
   EXPECT_EQ((*store)->stats().recovered_wal_records, 1u);
-  EXPECT_EQ(DurableStore::SnapshotJson((*store)->db(), 0), before);
+  EXPECT_EQ(DurableStore::SnapshotJson((*store)->db()), before);
 }
 
 /// Forwards to the real filesystem but fails the n-th Rename of one
@@ -269,18 +267,18 @@ TEST(DurableStore, CrashBetweenSnapshotAndWalRotationStillRecovers) {
     auto store = DurableStore::Open(snvs::SnvsSchema(), dir, &io);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE(AddPortRow((*store)->db(), "p1", 1, 10).ok());
-    ASSERT_TRUE((*store)->Checkpoint(/*digest_seq=*/1).ok());
+    ASSERT_TRUE((*store)->Checkpoint().ok());
     ASSERT_TRUE(AddPortRow((*store)->db(), "p2", 2, 20).ok());
-    before = DurableStore::SnapshotJson((*store)->db(), 0);
-    EXPECT_FALSE((*store)->Checkpoint(/*digest_seq=*/2).ok());
+    before = DurableStore::SnapshotJson((*store)->db());
+    EXPECT_FALSE((*store)->Checkpoint().ok());
   }  // crash mid-checkpoint: no snapshot.json, snapshot.json.1 is newest
   auto store = DurableStore::Open(snvs::SnvsSchema(), dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_TRUE((*store)->recovered());
-  // snapshot.json.1 ({p1}, digest seq 1) + the live WAL ({p2}) reproduce
-  // the exact pre-crash state.
-  EXPECT_EQ((*store)->recovered_digest_seq(), 1);
-  EXPECT_EQ(DurableStore::SnapshotJson((*store)->db(), 0), before);
+  // snapshot.json.1 ({p1}) + the live WAL ({p2}) reproduce the exact
+  // pre-crash state.
+  EXPECT_EQ((*store)->stats().snapshot_fallbacks, 1u);
+  EXPECT_EQ(DurableStore::SnapshotJson((*store)->db()), before);
 }
 
 TEST(DurableStore, RecoverSurvivesTruncatedWalTail) {

@@ -87,7 +87,7 @@ TEST(HaRestart, KillAndRestoreIsConvergedWithZeroWrites) {
     ASSERT_TRUE((*stack)->AddPort("p2", 2, "access", 10).ok());
     ASSERT_TRUE((*stack)->AddPort("t1", 3, "trunk", 0, {10, 20}).ok());
     ASSERT_TRUE((*stack)->AddAclRule(0xAA, 10, false).ok());
-    db_before = ha::DurableStore::SnapshotJson((*stack)->db(), 0);
+    db_before = ha::DurableStore::SnapshotJson((*stack)->db());
     EXPECT_GT(TotalEntries(*device.sw), 0u);
   }  // crash: stack destroyed, no checkpoint; device keeps its tables
 
@@ -102,7 +102,7 @@ TEST(HaRestart, KillAndRestoreIsConvergedWithZeroWrites) {
   EXPECT_TRUE((*stack)->store()->recovered());
 
   // Management plane restored bit-identically (same rows, same uuids).
-  EXPECT_EQ(ha::DurableStore::SnapshotJson((*stack)->db(), 0), db_before);
+  EXPECT_EQ(ha::DurableStore::SnapshotJson((*stack)->db()), db_before);
   // The device already held the desired state: resync read it, diffed, and
   // wrote nothing.
   EXPECT_EQ(device.client->write_count(), writes_before);
@@ -218,6 +218,8 @@ TEST(HaRestart, ResyncRepairsStaleExtraAndModifiedEntries) {
 TEST(HaRestart, DeviceRegisteredAfterStartIsResynced) {
   auto program = SnvsP4Program();
   auto stack = BuildSnvsStack().value();
+  // Start() reconciled the stack's one device.
+  EXPECT_EQ(stack->controller().stats().resyncs, 1u);
   ASSERT_TRUE(stack->AddPort("p1", 1, "access", 10).ok());
   ASSERT_TRUE(stack->AddPort("p2", 2, "access", 10).ok());
   size_t reference_entries = TotalEntries(stack->device());
@@ -226,10 +228,11 @@ TEST(HaRestart, DeviceRegisteredAfterStartIsResynced) {
   // A second switch joins long after Start(): it is brought up to the full
   // desired state immediately.
   SurvivingDevice late(program);
+  uint64_t resyncs = stack->controller().stats().resyncs;
   ASSERT_TRUE(
       stack->controller().AddDevice("late", late.client.get()).ok());
   EXPECT_EQ(DeviceState(*late.sw), DeviceState(stack->device()));
-  EXPECT_EQ(stack->controller().stats().resyncs, 1u);
+  EXPECT_EQ(stack->controller().stats().resyncs, resyncs + 1);
 
   // And it tracks subsequent updates like any other device.
   ASSERT_TRUE(stack->AddPort("p3", 3, "access", 10).ok());
@@ -273,6 +276,57 @@ TEST(HaRestart, DigestSeqStaysMonotoneAcrossRestart) {
   EXPECT_GT((*stack)->controller().digest_seq(), seq_at_checkpoint);
 }
 
+TEST(HaRestart, DigestSeqClearsRowsRestoredFromAnOlderSidecar) {
+  std::string dir = FreshDir("digest_seq_old_sidecar");
+  auto frame_from = [](uint8_t src) {
+    return net::MakeEthernetFrame(Mac(0, 0, 0, 0, 0, 0xEE),
+                                  Mac(0, 0, 0, 0, 0, src), 0x0800, {1, 2, 3});
+  };
+  {
+    SnvsOptions options;
+    options.ha_dir = dir;
+    auto stack = BuildSnvsStack(options);
+    ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+    for (int64_t port = 1; port <= 3; ++port) {
+      ASSERT_TRUE(
+          (*stack)->AddPort("p" + std::to_string(port), port, "access", 10)
+              .ok());
+    }
+    ASSERT_TRUE((*stack)->InjectPacket(0, 1, frame_from(0xAA)).ok());
+    ASSERT_TRUE((*stack)->Checkpoint().ok());
+    ASSERT_TRUE((*stack)->InjectPacket(0, 2, frame_from(0xCC)).ok());
+    // A snapshot alone: the crash window between the snapshot and the
+    // sidecar write leaves a newer snapshot beside the older sidecar.
+    ASSERT_TRUE((*stack)->store()->Checkpoint().ok());
+  }
+
+  SnvsOptions options;
+  options.ha_dir = dir;
+  auto stack = BuildSnvsStack(options);
+  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
+  Controller& controller = (*stack)->controller();
+  EXPECT_EQ(controller.stats().engine_restores, 1u);
+  // The cursor starts above every restored digest row's seq.
+  auto learned = controller.engine().Dump("MacLearn");
+  ASSERT_TRUE(learned.ok()) << learned.status().ToString();
+  ASSERT_FALSE(learned->empty());
+  for (const dlog::Row& row : *learned) {
+    EXPECT_LT(row[row.size() - 1].as_int(), controller.digest_seq());
+  }
+
+  // AA moves to port 3: its new digest outranks the restored one.
+  ASSERT_TRUE((*stack)->InjectPacket(0, 3, frame_from(0xAA)).ok());
+  ASSERT_TRUE(controller.last_error().ok());
+  bool forwarded = false;
+  for (const p4::TableEntry* entry :
+       (*stack)->device().GetTable("Dmac")->Entries()) {
+    if (entry->match[1].value != 0xAA) continue;
+    EXPECT_EQ(entry->action_args, std::vector<uint64_t>{3});
+    forwarded = true;
+  }
+  EXPECT_TRUE(forwarded);
+}
+
 TEST(HaRestart, CorruptSnapshotFallsBackToPreviousGeneration) {
   std::string dir = FreshDir("snap_fallback");
   Json db_before;
@@ -287,7 +341,7 @@ TEST(HaRestart, CorruptSnapshotFallsBackToPreviousGeneration) {
     ASSERT_TRUE((*stack)->Checkpoint().ok());
     // Live WAL records on top of the (about to be corrupted) snapshot.
     ASSERT_TRUE((*stack)->AddPort("p3", 3, "access", 20).ok());
-    db_before = ha::DurableStore::SnapshotJson((*stack)->db(), 0);
+    db_before = ha::DurableStore::SnapshotJson((*stack)->db());
   }
 
   // Bit rot inside the current snapshot: still valid JSON, wrong CRC.
@@ -312,7 +366,7 @@ TEST(HaRestart, CorruptSnapshotFallsBackToPreviousGeneration) {
   ASSERT_TRUE(stack.ok()) << stack.status().ToString();
   EXPECT_TRUE((*stack)->store()->recovered());
   EXPECT_EQ((*stack)->store()->stats().snapshot_fallbacks, 1u);
-  EXPECT_EQ(ha::DurableStore::SnapshotJson((*stack)->db(), 0), db_before);
+  EXPECT_EQ(ha::DurableStore::SnapshotJson((*stack)->db()), db_before);
 }
 
 TEST(HaRestart, TornFramedWalTailIsDroppedOnRestart) {
@@ -324,7 +378,7 @@ TEST(HaRestart, TornFramedWalTailIsDroppedOnRestart) {
     auto stack = BuildSnvsStack(options);
     ASSERT_TRUE(stack.ok()) << stack.status().ToString();
     ASSERT_TRUE((*stack)->AddPort("p1", 1, "access", 10).ok());
-    db_before = ha::DurableStore::SnapshotJson((*stack)->db(), 0);
+    db_before = ha::DurableStore::SnapshotJson((*stack)->db());
   }
   // Crash mid-append: a framed record whose tail never hit the disk.  The
   // stored CRC covers the full record, so the prefix cannot pass.
@@ -339,7 +393,7 @@ TEST(HaRestart, TornFramedWalTailIsDroppedOnRestart) {
   auto stack = BuildSnvsStack(options);
   ASSERT_TRUE(stack.ok()) << stack.status().ToString();
   EXPECT_EQ((*stack)->store()->stats().truncated_tail_records, 1u);
-  EXPECT_EQ(ha::DurableStore::SnapshotJson((*stack)->db(), 0), db_before);
+  EXPECT_EQ(ha::DurableStore::SnapshotJson((*stack)->db()), db_before);
 }
 
 TEST(HaRestart, ControllerConvergesThroughInjectedWriteFaults) {
@@ -460,7 +514,7 @@ TEST(HaRestart, CorruptEngineCheckpointFallsBackToColdStart) {
     ASSERT_TRUE((*stack)->AddPort("p1", 1, "access", 10).ok());
     ASSERT_TRUE((*stack)->AddPort("t1", 3, "trunk", 0, {10, 20}).ok());
     ASSERT_TRUE((*stack)->Checkpoint().ok());
-    db_before = ha::DurableStore::SnapshotJson((*stack)->db(), 0);
+    db_before = ha::DurableStore::SnapshotJson((*stack)->db());
   }
 
   // Bit rot inside the sidecar blob: the CRC32 frame check must reject it.
@@ -488,7 +542,7 @@ TEST(HaRestart, CorruptEngineCheckpointFallsBackToColdStart) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInternal);
   const auto& stats = (*stack)->controller().stats();
   EXPECT_EQ(stats.engine_restores, 0u);
-  EXPECT_EQ(ha::DurableStore::SnapshotJson((*stack)->db(), 0), db_before);
+  EXPECT_EQ(ha::DurableStore::SnapshotJson((*stack)->db()), db_before);
   // Cold start recomputed the full desired state and programmed it.
   EXPECT_GT(TotalEntries((*stack)->device()), 0u);
   ASSERT_TRUE((*stack)->AddPort("p2", 2, "access", 10).ok());
