@@ -523,7 +523,13 @@ TEST_F(GatewayTest, ReadyzReportsStuckSubsystems) {
   watchdog.Disarm("ha.wal");
   EXPECT_EQ(Get("/readyz").status, 200);
 
-  // The pump heartbeat surfaces in /v1/stats alongside the cleared arm.
+  // The pump heartbeat surfaces in /v1/stats alongside the cleared arm,
+  // once the pump thread has beaten for the first time.
+  int64_t give_up = MonotonicNanos() + 5'000'000'000;
+  while (watchdog.Snapshot(MonotonicNanos()).count("gateway.pump") == 0 &&
+         MonotonicNanos() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   reply = Get("/v1/stats");
   ASSERT_EQ(reply.status, 200);
   const Json* health = reply.json.Find("health");
