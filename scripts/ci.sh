@@ -3,10 +3,10 @@
 # with AddressSanitizer + UndefinedBehaviorSanitizer (the durability layer
 # does enough raw file and lifetime juggling that the sanitizers earn
 # their keep), and a ThreadSanitizer pass over the concurrent subsystems
-# (the controller's anti-entropy thread, HA recovery).  Then a Release -O2
-# bench smoke: every JSON-emitting bench must run at a small scale and
-# produce its BENCH_<name>.json.  Last, the full-stack benchmark's traced
-# runs check every workload's outputs.
+# (the OVSDB service thread, the gateway, HA recovery and failover).  Then
+# a Release -O2 bench smoke: every JSON-emitting bench must run at a small
+# scale and produce its BENCH_<name>.json.  Last, the full-stack
+# benchmark's traced runs check every workload's outputs.
 #   scripts/ci.sh [jobs]
 set -eu
 JOBS="${1:-$(nproc)}"
@@ -44,14 +44,14 @@ run_suite build-ci-asan \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS"
 
 # TSan is incompatible with ASan, so it gets its own build; restrict the run
-# to the suites that actually exercise threads (controller anti-entropy
-# thread and the single-thread dispatch claim of test_controller's
-# recording clients, OVSDB TCP service thread, HTTP gateway event loop +
-# workers, HA restart and hot-standby failover, chaos fault storms —
-# including the seeded failover soak in test_chaos — snvs integration end
-# to end, and the dlog differential suite: the engine now runs on its
-# caller's thread, and the suite stays here so that any thread it grows
-# again runs under TSan from the start) to keep the wall clock sane.
+# to the suites that actually exercise threads (the single-thread dispatch
+# claim of test_controller's recording clients, OVSDB TCP service thread,
+# HTTP gateway event loop + workers, HA restart and hot-standby failover,
+# chaos fault storms — including the seeded failover soak in test_chaos —
+# snvs integration end to end, and the dlog differential suite: the engine
+# now runs on its caller's thread, and the suite stays here so that any
+# thread it grows again runs under TSan from the start) to keep the wall
+# clock sane.
 echo "=== configure build-ci-tsan ==="
 cmake -B build-ci-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -157,6 +157,17 @@ echo "--- bench_lb_coldstart --scale=1 (regression gate) ---"
 build-ci-bench/bench/bench_lb_coldstart --scale=1 \
   --baseline=bench/baselines/BENCH_lb_coldstart_baseline.json \
   --out=build-ci-bench/bench-out >/dev/null
+
+# Restart bench: drives Checkpoint(), warm restarts and the snapshot
+# fallback end to end, and exits non-zero when a corrupt snapshot does not
+# trigger the fallback.  It writes BENCH_recovery.json to its working
+# directory.
+echo "--- bench_recovery --corrupt (restart + snapshot-fallback gate) ---"
+cmake --build build-ci-bench -j "$JOBS" --target bench_recovery
+rm -f build-ci-bench/bench-out/BENCH_recovery.json
+(cd build-ci-bench/bench-out && ../bench/bench_recovery --corrupt >/dev/null)
+test -s build-ci-bench/bench-out/BENCH_recovery.json || {
+  echo "bench_recovery produced no BENCH_recovery.json" >&2; exit 1; }
 
 # Failover bench is a correctness gate first (zero stale-epoch writes may
 # reach the data plane during the zombie phase, enforced unconditionally)
