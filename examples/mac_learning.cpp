@@ -21,8 +21,8 @@ void DumpLearningState(snvs::SnvsStack& stack) {
     std::printf("      %s\n", entry->ToString().c_str());
   }
   auto learns = stack.controller().engine().Dump("MacLearn");
-  std::printf("    MacLearn input relation: %zu rows (digests never expire; "
-              "most-recent seq wins)\n",
+  std::printf("    MacLearn input relation: %zu rows (keyed on vlan and "
+              "mac: the newest digest replaces the old row)\n",
               learns.ok() ? learns->size() : 0);
 }
 
@@ -61,7 +61,7 @@ int main() {
                   stack.controller().stats().digests));
 
   std::printf("\n3. A moves to port 3 and talks.  The (vlan, mac, port) key\n"
-              "   misses SMac -> new digest -> higher seq wins -> both\n"
+              "   misses SMac -> new digest replaces A's MacLearn row -> both\n"
               "   entries migrate (watch the Forward argument change):\n");
   out = stack.InjectPacket(0, 3, a_to_b);
   if (!out.ok()) return 1;

@@ -34,10 +34,8 @@ int main() {
   p4::RuntimeClient runtime(&device);
 
   // --- Control plane: engine + bindings, fed from the wire. ---
-  BindingOptions options;
-  options.with_digest_seq = true;
   ovsdb::DatabaseSchema schema = snvs::SnvsSchema();
-  auto bindings = GenerateBindings(schema, *pipeline, options);
+  auto bindings = GenerateBindings(schema, *pipeline);
   if (!bindings.ok()) return 1;
   auto program =
       dlog::Program::Parse(bindings->DeclsText() + snvs::SnvsRules());

@@ -199,9 +199,6 @@ Result<StackDef> GetStack(std::string_view name) {
     def.p4 = snvs::SnvsP4Program();
     def.p4_source = snvs::SnvsP4Source();
     def.rules = snvs::SnvsRules();
-    def.options.with_device_column = false;
-    def.options.with_digest_seq = true;
-    def.multicast_relations = {"MulticastGroup"};
     return def;
   }
   if (name == "ip_fabric") {

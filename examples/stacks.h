@@ -32,8 +32,6 @@ struct StackDef {
   /// Hand-written rules (generated declarations NOT included).
   std::string rules;
   BindingOptions options;
-  /// Output relations consumed by controller plumbing, not a P4 table.
-  std::vector<std::string> multicast_relations;
 };
 
 /// The packaged stacks: "snvs", "ip_fabric", "multi_device", "reachability".

@@ -33,9 +33,6 @@
 namespace nerpa::analyze {
 
 struct AnalyzeOptions {
-  /// Output relations consumed by the controller's multicast-group plumbing
-  /// rather than a P4 table; exempt from NW201.
-  std::vector<std::string> multicast_relations;
   /// `rules` is a complete program (relation declarations included), e.g. a
   /// file a user maintains; the generated declarations are checked against
   /// it (NW204) instead of being prepended.

@@ -485,17 +485,16 @@ void CheckActionNames(PassContext& context) {
   }
 }
 
-/// NW201: output relations no table consumes (multicast plumbing exempt).
+/// NW201: output relations no table consumes (the generated multicast
+/// relation is exempt).
 void CheckUnboundOutputs(PassContext& context) {
   if (context.bindings == nullptr) return;
   for (const RelationDecl& decl : context.ast->relations) {
     if (decl.role != dlog::RelationRole::kOutput) continue;
-    if (context.bindings->FindTable(decl.name) != nullptr) continue;
-    bool exempt = false;
-    for (const std::string& name : context.options->multicast_relations) {
-      if (name == decl.name) exempt = true;
+    if (context.bindings->FindTable(decl.name) != nullptr ||
+        decl.name == context.bindings->multicast_relation) {
+      continue;
     }
-    if (exempt) continue;
     Emit(context, "NW201", Severity::kWarning, "cross-plane",
          StrFormat("output relation '%s' is not bound to any P4 table; its "
                    "rows go nowhere",

@@ -6,9 +6,9 @@ namespace nerpa::baseline {
 
 namespace {
 
-/// Best learn per (vlan, mac): highest seq wins.
+/// Newest learn per (vlan, mac): highest seq wins.
 std::map<std::pair<int64_t, int64_t>, std::pair<int64_t, int64_t>>
-BestLearns(const std::vector<LearnEvent>& learns) {
+NewestLearns(const std::vector<LearnEvent>& learns) {
   std::map<std::pair<int64_t, int64_t>, std::pair<int64_t, int64_t>> best;
   for (const LearnEvent& learn : learns) {
     auto key = std::make_pair(learn.vlan, learn.mac);
@@ -53,7 +53,7 @@ EntrySet ComputeDesiredState(const std::map<std::string, PortConfig>& ports,
   for (const AclConfig& acl : acls) {
     out.insert({"Acl", {acl.vlan, acl.mac, acl.allow ? 1 : 0}});
   }
-  for (const auto& [key, best] : BestLearns(learns)) {
+  for (const auto& [key, best] : NewestLearns(learns)) {
     const auto& [vlan, mac] = key;
     out.insert({"SMac", {vlan, mac, best.second}});
     out.insert({"Dmac", {vlan, mac, best.second}});

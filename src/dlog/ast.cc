@@ -210,6 +210,7 @@ std::string ProgramAst::ToString() const {
   for (const RelationDecl& relation : relations) {
     out += relation.ToString() + "\n";
   }
+  for (const Atom& key : keys) out += "key " + key.ToString() + "\n";
   out += "\n";
   for (const Rule& rule : rules) {
     out += rule.ToString() + "\n";

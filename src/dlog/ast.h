@@ -2,8 +2,9 @@
 //
 // Grammar sketch (see parser.h for the full grammar):
 //
-//   program   := (decl | rule)*
+//   program   := (decl | key | rule)*
 //   decl      := ("input"|"output")? "relation" Name "(" columns ")"
+//   key       := "key" Name "(" column ("," column)* ")"  (after Name's decl)
 //   rule      := atom ":-" body "."  |  atom "."            (fact)
 //   body      := elem ("," elem)*
 //   elem      := atom                                        positive literal
@@ -155,6 +156,10 @@ struct Rule {
 /// A parsed (not yet compiled) program.
 struct ProgramAst {
   std::vector<RelationDecl> relations;
+  /// `key Rel(c1, ..., cn)`, as an atom of column names: an insert into
+  /// input relation Rel replaces the row holding the same values in those
+  /// columns (DDlog's `primary key` with `insert_or_update`).
+  std::vector<Atom> keys;
   std::vector<Rule> rules;
 
   const RelationDecl* FindRelation(std::string_view name) const {

@@ -36,6 +36,15 @@ namespace {
 /// Lexicographic row order (used for deterministic output deltas).
 bool RowLess(const Row& a, const Row& b) { return a < b; }
 
+/// Projects `row`'s arrangement key into a reusable scratch buffer;
+/// returns a borrowed view (no heap allocation).
+RowView ProjectInto(const Row& row, const std::vector<int>& positions,
+                    ValueVec& buf) {
+  buf.clear();
+  for (int p : positions) buf.push_back(row[static_cast<size_t>(p)]);
+  return RowView(buf.data(), buf.size());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -77,6 +86,7 @@ class Engine::Txn {
   /// Runs the queued inputs as one transaction.  "The engine is empty"
   /// is the only selector between the bootstrap and incremental paths.
   Result<TxnDelta> Run() {
+    ApplyKeys();
     if (EngineIsEmpty()) return RunBootstrap();
     Status status = Execute();
     if (!status.ok()) {
@@ -187,15 +197,6 @@ class Engine::Txn {
       state.dirty = true;
       dirty_rels_.push_back(rel);
     }
-  }
-
-  /// Projects `row`'s arrangement key into a reusable scratch buffer;
-  /// returns a borrowed view (no heap allocation).
-  static RowView ProjectInto(const Row& row, const std::vector<int>& positions,
-                             ValueVec& buf) {
-    buf.clear();
-    for (int p : positions) buf.push_back(row[static_cast<size_t>(p)]);
-    return RowView(buf.data(), buf.size());
   }
 
   static Row MaterializeKey(RowView key) {
@@ -1284,6 +1285,51 @@ class Engine::Txn {
 
   // --- Inputs / outputs / cleanup ---
 
+  /// Input keys: an insert into a keyed relation replaces the row holding
+  /// its key.  Walks the queued ops in order and queues the holder's delete
+  /// ahead of each insert that displaces it, so the last insert of a key in
+  /// one commit wins.  Both input paths then net the ops as usual, and a
+  /// rollback restores a replaced row like any deleted one.
+  void ApplyKeys() {
+    auto& pending = e_.pending_;
+    if (std::none_of(pending.begin(), pending.end(), [&](const auto& op) {
+          return program_.key_arrangement(std::get<0>(op)) >= 0;
+        })) {
+      return;
+    }
+    std::vector<std::tuple<int, Row, int>> ops;
+    // (relation, key) -> the row holding it after the ops so far, or empty.
+    std::map<std::pair<int, Row>, Row> holders;
+    for (auto& op : pending) {
+      const auto& [rel, row, direction] = op;
+      if (int arr = program_.key_arrangement(rel); arr >= 0) {
+        const ArrangementSpec& spec = program_.arrangements()
+            [static_cast<size_t>(rel)][static_cast<size_t>(arr)];
+        auto [it, fresh] = holders.try_emplace(
+            {rel, MaterializeKey(
+                      ProjectInto(row, spec.key_positions, arr_key_buf_))});
+        Row& holder = it->second;
+        if (fresh) {
+          ForEachMatch(rel, arr, it->first.second.span(), Mode::kNew,
+                       [&](const Row& held) {
+                         holder = held;
+                         return false;  // a key holds at most one row
+                       });
+        }
+        if (direction < 0) {
+          if (holder == row) holder = Row{};
+        } else {
+          if (!holder.empty() && holder != row) {
+            ops.emplace_back(rel, holder, -1);
+          }
+          holder = row;
+        }
+      }
+      ops.push_back(std::move(op));
+    }
+    pending.swap(ops);
+  }
+
   Status ApplyInputs() {
     if (e_.pending_.empty()) return Status::Ok();
     // Net presence change per (relation, row), respecting op order.
@@ -1915,8 +1961,8 @@ struct BlobReader {
 }  // namespace
 
 uint64_t Engine::StateFingerprint() const {
-  // Canonical program text pins rules, relations, and column types; the
-  // format version pins the blob layout.  use_arrangements only shapes
+  // Canonical program text pins rules, relations, keys and column types;
+  // the format version pins the blob layout.  use_arrangements only shapes
   // derived indexes, so it is excluded — Restore() rebuilds those per its
   // own options.
   uint64_t h = Fnv1a(program_->ast().ToString());
@@ -1999,6 +2045,20 @@ Result<std::unique_ptr<Engine>> Engine::Restore(
         return corrupt("bad derivation count");
       }
       counts.emplace(std::move(row), count);
+    }
+    int key = engine->program_->key_arrangement(static_cast<int>(rel));
+    if (key >= 0) {
+      const std::vector<int>& columns =
+          engine->program_->arrangements()[rel][static_cast<size_t>(key)]
+              .key_positions;
+      RowSet keys;
+      ValueVec buf;
+      for (const auto& [row, count] : counts) {
+        RowView projected = ProjectInto(row, columns, buf);
+        if (!keys.emplace(projected.data(), projected.size()).second) {
+          return corrupt("two rows under one key");
+        }
+      }
     }
   }
   if (r.U32() != engine->agg_states_.size()) {

@@ -22,6 +22,9 @@
 //   * Incremental group-by aggregation with persistent per-group state.
 //   * Recursion by semi-naive insertion plus DRed (delete-and-rederive)
 //     for deletions, with set semantics inside recursive strata.
+//   * Keyed inputs (`key Rel(cols)`): an insert replaces the row holding
+//     its key in the same transaction, found through an arrangement on the
+//     key columns; the last insert of a key in one commit wins.
 //   * Bootstrap: a commit into a completely empty engine (cold start, and
 //     the fact rules at construction) runs one full evaluation per rule
 //     instead of the delta expansion, with no undo log and bulk-built
@@ -85,7 +88,8 @@ class Engine {
 
   /// Queues an insert/delete of `row` into an input relation.  The change
   /// takes effect at Commit().  Duplicate inserts and deletes of absent
-  /// rows are ignored at commit time (set semantics), matching DDlog.
+  /// rows are ignored at commit time (set semantics), matching DDlog, and
+  /// an insert into a keyed relation replaces the row holding its key.
   Status Insert(std::string_view relation, Row row);
   Status Delete(std::string_view relation, Row row);
 
@@ -115,8 +119,9 @@ class Engine {
   /// same deltas for subsequent commits); its initial delta is empty.
   /// Fails (so callers fall back to recomputing) on any mismatch or
   /// truncation, and on state the engine could not evaluate: rows that do
-  /// not fit their relation's column types, aggregate group keys and
-  /// bindings that do not fit the planned aggregate, or impossible counts.
+  /// not fit their relation's column types, two rows under one input key,
+  /// aggregate group keys and bindings that do not fit the planned
+  /// aggregate, or impossible counts.
   static Result<std::unique_ptr<Engine>> Restore(
       std::shared_ptr<const Program> program, std::string_view blob,
       EngineOptions options = {});

@@ -32,6 +32,14 @@ class Parser {
           return Error("duplicate relation '" + decl.name + "'");
         }
         program.relations.push_back(std::move(decl));
+      } else if (Peek().IsIdent("key") && Peek(1).Is(TokKind::kIdent)) {
+        // `key` is contextual: a rule head is `Name(`, never `key Name`.
+        const Token& start = Next();
+        NERPA_ASSIGN_OR_RETURN(Atom key, ParseAtom());
+        key.line = start.line;
+        key.col = start.col;
+        NERPA_RETURN_IF_ERROR(CheckKey(program, key));
+        program.keys.push_back(std::move(key));
       } else {
         NERPA_ASSIGN_OR_RETURN(Rule rule, ParseRule());
         program.rules.push_back(std::move(rule));
@@ -169,6 +177,29 @@ class Parser {
       NERPA_RETURN_IF_ERROR(ExpectPunct(")"));
     }
     return decl;
+  }
+
+  /// A key names one or more columns of an input relation declared before
+  /// it, which has no other key.
+  static Status CheckKey(const ProgramAst& program, const Atom& key) {
+    auto error = [&](const std::string& message) {
+      return ParseError(StrFormat("line %d:%d: key %s: %s", key.line,
+                                  key.col, key.relation.c_str(),
+                                  message.c_str()));
+    };
+    const RelationDecl* decl = program.FindRelation(key.relation);
+    if (decl == nullptr) return error("no such relation declared before it");
+    if (decl->role != RelationRole::kInput) return error("not an input");
+    for (const Atom& other : program.keys) {
+      if (other.relation == key.relation) return error("a second key");
+    }
+    if (key.terms.empty()) return error("no columns");
+    for (const ExprPtr& term : key.terms) {
+      if (term->kind != Expr::Kind::kVar || decl->FindColumn(term->name) < 0) {
+        return error("no column '" + term->ToString() + "'");
+      }
+    }
+    return Status::Ok();
   }
 
   // --- Rules ---

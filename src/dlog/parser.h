@@ -3,8 +3,9 @@
 // Full grammar (tokens per lexer.h; `*` = repetition, `?` = optional):
 //
 //   program    := item*
-//   item       := reldecl | rule
+//   item       := reldecl | keydecl | rule
 //   reldecl    := ("input" | "output")? "relation" IDENT "(" cols? ")"
+//   keydecl    := "key" atom   (column names of an input declared before it)
 //   cols       := col ("," col)*
 //   col        := IDENT ":" type
 //   type       := "bool" | "bigint" | "string" | "bit" "<" INT ">"
@@ -30,8 +31,9 @@
 
 namespace nerpa::dlog {
 
-/// Parses a program.  Performs syntax checks only — name resolution and
-/// type checking happen in Compile() (program.h).
+/// Parses a program.  Performs syntax checks, plus that a key names columns
+/// of an input declared before it that has no other key; rule name
+/// resolution and type checking happen in Compile() (program.h).
 Result<ProgramAst> ParseProgram(std::string_view source);
 
 /// Parses a single expression (for tests and REPL-style tools).

@@ -330,6 +330,7 @@ class Compiler {
       program_.relations_.push_back(decl);
     }
     program_.arrangements_.resize(program_.relations_.size());
+    program_.key_arrangements_.assign(program_.relations_.size(), -1);
     return Status::Ok();
   }
 
@@ -837,13 +838,24 @@ class Compiler {
     return plan;
   }
 
-  /// An arrangement exists only because a plan that runs after the first
-  /// commit reads it.  Delta plans run on every commit in every stratum;
-  /// full and re-derivation plans run at steady state only in recursive
-  /// strata (DRed).  A non-recursive rule's full plan runs only in the
-  /// bootstrap, so it is planned last and reuses what the others registered;
-  /// nothing runs its re-derivation plan, so that is not built.
+  /// An arrangement exists only because an input key or a plan that runs
+  /// after the first commit reads it.  A key is probed by every insert into
+  /// its relation.  Delta plans run on every commit in every stratum; full
+  /// and re-derivation plans run at steady state only in recursive strata
+  /// (DRed).  A non-recursive rule's full plan runs only in the bootstrap,
+  /// so it is planned last and reuses what the others registered; nothing
+  /// runs its re-derivation plan, so that is not built.
   Status BuildPlans() {
+    // The parser resolved every key's names.
+    for (const Atom& key : program_.ast_.keys) {
+      int rel = program_.FindRelation(key.relation);
+      std::vector<int> positions;
+      for (const ExprPtr& column : key.terms) {
+        positions.push_back(program_.relation(rel).FindColumn(column->name));
+      }
+      program_.key_arrangements_[static_cast<size_t>(rel)] =
+          RegisterArrangement(rel, std::move(positions));
+    }
     auto recursive = [&](const CompiledRule& rule) {
       int stratum = program_.stratum_of(rule.head_relation);
       return program_.strata_[static_cast<size_t>(stratum)].recursive;

@@ -143,8 +143,8 @@ struct CompiledRule {
 };
 
 /// An arrangement (hash index) specification on a relation.  Only plans
-/// that run after the first commit register one, and each records only
-/// the per-transaction facts its readers use.
+/// that run after the first commit and input keys register one, and each
+/// records only the per-transaction facts its readers use.
 struct ArrangementSpec {
   std::vector<int> key_positions;  // sorted, non-empty
   // A pinned negated literal is driven by this arrangement's key presence
@@ -182,6 +182,12 @@ class Program {
   int aggregate_state_count() const { return aggregate_state_count_; }
   const ProgramAst& ast() const { return ast_; }
 
+  /// The arrangement on a keyed input's key columns, which an insert
+  /// probes for the row it replaces; -1 for a relation without a key.
+  int key_arrangement(int relation) const {
+    return key_arrangements_[static_cast<size_t>(relation)];
+  }
+
   /// Stratum index that defines each relation (-1 for inputs).
   int stratum_of(int relation) const { return stratum_of_[static_cast<size_t>(relation)]; }
 
@@ -195,6 +201,7 @@ class Program {
   std::vector<Stratum> strata_;
   std::vector<int> stratum_of_;
   std::vector<std::vector<ArrangementSpec>> arrangements_;
+  std::vector<int> key_arrangements_;
   int aggregate_state_count_ = 0;
 };
 

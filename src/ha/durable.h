@@ -30,8 +30,7 @@
 // The snapshot holds no control-plane state: the control plane is a pure
 // function of the management plane plus the digest stream, and is
 // re-derived on restart.  An engine checkpoint sidecar (below) only spares
-// the recomputation and carries learned state across; the controller
-// derives its digest sequence cursor from the digest rows it restores.
+// the recomputation and carries learned state across.
 #ifndef NERPA_HA_DURABLE_H_
 #define NERPA_HA_DURABLE_H_
 
@@ -116,8 +115,8 @@ class DurableStore {
   static Result<Json> DecodeSnapshot(const std::string& text);
 
   /// Applies a parsed snapshot document to an empty database.  Keys other
-  /// than "format" and "tables" (older snapshots carry "digest_seq") are
-  /// ignored.
+  /// than "format" and "tables" are ignored, such as the "digest_seq" of
+  /// snapshots written while digests carried sequence numbers.
   static Status ApplySnapshot(ovsdb::Database& db, const Json& snapshot);
 
   /// Detaches and returns the database, ending durability (no further WAL

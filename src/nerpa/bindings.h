@@ -17,7 +17,7 @@
 //     set/optional columns -> Vec<elem>, map columns -> Vec<(key, value)>.
 //     (OVSDB "real" columns are rejected: the Datalog dialect is float-free.)
 //   P4 digest D{f1: bit<w1>, ...}  =>  input relation D([device: string,]
-//     f1: bit<w1>, ..., [seq: bigint])
+//     f1: bit<w1>, ...)
 //   P4 table T with keys k1..kn =>  output relation T([device: string,]
 //     per key: exact  -> <k>: bit<w>
 //              lpm    -> <k>: bit<w>, <k>_plen: bigint
@@ -28,6 +28,9 @@
 //     action: string, then one column per distinct parameter name across
 //     the table's permitted actions: <param>: bit<w>.
 //   Key column names are the P4 field references with '.' -> '_'.
+//   Any action that multicasts => output relation MulticastGroup(
+//     [device: string,] group: bit<16>, port: bit<16>): group membership,
+//     which the controller programs instead of a table.
 #ifndef NERPA_NERPA_BINDINGS_H_
 #define NERPA_NERPA_BINDINGS_H_
 
@@ -50,9 +53,6 @@ struct BindingOptions {
   /// Prepend a `device: string` column to digest inputs and table outputs,
   /// enabling per-device routing (multi-switch deployments).
   bool with_device_column = false;
-  /// Append a controller-assigned `seq: bigint` column to digest inputs so
-  /// programs can order notifications (most-recent-wins MAC learning).
-  bool with_digest_seq = false;
 };
 
 /// How one column of a generated table-output relation is consumed when
@@ -86,7 +86,6 @@ struct DigestBinding {
   std::string relation;  // == digest name
   std::string digest;
   bool has_device = false;
-  bool has_seq = false;
 };
 
 struct OvsdbBinding {
@@ -102,6 +101,9 @@ struct Bindings {
   std::vector<OvsdbBinding> ovsdb_tables;
   std::vector<DigestBinding> digests;
   std::vector<TableBinding> tables;
+  /// The generated multicast membership relation (also in `outputs`), or
+  /// "" when no action of the program multicasts.
+  std::string multicast_relation;
 
   const TableBinding* FindTable(std::string_view relation) const;
   const DigestBinding* FindDigest(std::string_view digest) const;
@@ -128,10 +130,11 @@ Status TypeCheck(const dlog::Program& program, const Bindings& bindings);
 Result<dlog::Row> OvsdbRowToDlog(const ovsdb::TableSchema& schema,
                                  const ovsdb::Row& row);
 
-/// Digest message -> Datalog row (device/seq appended per binding flags).
+/// Digest message -> Datalog row (device prepended per the binding).
+/// `unused_seq` is ignored; it stays until perfbench stops passing it.
 dlog::Row DigestToDlog(const DigestBinding& binding,
                        const p4::DigestMessage& message,
-                       const std::string& device, int64_t seq);
+                       const std::string& device, int64_t unused_seq);
 
 /// Datalog output row -> P4Runtime table entry (+ device name when the
 /// bindings carry one; empty string otherwise).

@@ -8,7 +8,6 @@
 
 #include "common/clock.h"
 #include "common/log.h"
-#include "common/strings.h"
 
 namespace nerpa {
 
@@ -100,24 +99,6 @@ Status Controller::ResyncDevice(const std::string& name) {
 Status Controller::Start() {
   if (started_) return FailedPrecondition("controller already started");
   NERPA_RETURN_IF_ERROR(TypeCheck(*program_, bindings_));
-  // The multicast relation, when configured, must be declared by hand with
-  // the documented shape.
-  if (!options_.multicast_relation.empty()) {
-    int id = program_->FindRelation(options_.multicast_relation);
-    if (id < 0) {
-      return NotFound("multicast relation '" + options_.multicast_relation +
-                      "' is not declared");
-    }
-    const dlog::RelationDecl& decl = program_->relation(id);
-    size_t expected = bindings_.options.with_device_column ? 3 : 2;
-    if (decl.role != dlog::RelationRole::kOutput ||
-        decl.columns.size() != expected) {
-      return TypeError(StrFormat(
-          "multicast relation '%s' must be an output relation with %zu "
-          "columns ([device: string,] group: bit<16>, port: bit<16>)",
-          decl.name.c_str(), expected));
-    }
-  }
   // Warm start: restore the engine from the checkpoint blob when one was
   // supplied and it still matches this program; anything the engine
   // rejects degrades to a cold start (the checkpoint is an accelerator,
@@ -193,23 +174,6 @@ Status Controller::ArbitrateAllLocked() {
   return Status::Ok();
 }
 
-void Controller::RecoverDigestSeqLocked() {
-  // Digest rows are only ever inserted, so the engine (possibly the old
-  // leader's checkpoint) holds every sequence number that can still win a
-  // most-recent-wins comparison; start strictly above the maximum.
-  int64_t max_seen = -1;
-  for (const DigestBinding& binding : bindings_.digests) {
-    if (!binding.has_seq) continue;
-    Result<std::vector<dlog::Row>> rows = engine_->Dump(binding.relation);
-    if (!rows.ok()) continue;
-    for (const dlog::Row& row : rows.value()) {
-      if (row.size() == 0) continue;
-      max_seen = std::max(max_seen, row[row.size() - 1].as_int());
-    }
-  }
-  digest_seq_ = std::max(digest_seq_, max_seen + 1);
-}
-
 Status Controller::Promote(uint64_t epoch) {
   if (!started_) return FailedPrecondition("controller not started");
   if (role_.load(std::memory_order_acquire) == Role::kLeader) {
@@ -235,7 +199,6 @@ Status Controller::Promote(uint64_t epoch) {
     role_.store(Role::kFollower, std::memory_order_release);
     return arbitrated;
   }
-  RecoverDigestSeqLocked();
   Status synced = ResyncAllDevices();
   if (!synced.ok()) {
     role_.store(Role::kFollower, std::memory_order_release);
@@ -307,16 +270,15 @@ Status Controller::AdoptRestoredEngine(std::unique_ptr<dlog::Engine> engine) {
   // the membership bookkeeping is seeded from a dump before the first
   // update lands on top of it.
   multicast_members_.clear();
-  if (!options_.multicast_relation.empty()) {
+  if (!bindings_.multicast_relation.empty()) {
     NERPA_ASSIGN_OR_RETURN(std::vector<dlog::Row> rows,
-                           engine_->Dump(options_.multicast_relation));
+                           engine_->Dump(bindings_.multicast_relation));
     dlog::SetDelta seed;
     seed.reserve(rows.size());
     for (dlog::Row& row : rows) seed.emplace_back(std::move(row), +1);
     std::vector<DeviceBatch> none;
     NERPA_RETURN_IF_ERROR(ApplyMulticastDelta(seed, none));
   }
-  RecoverDigestSeqLocked();
   reconcile_restored_ = true;
   return Status::Ok();
 }
@@ -703,7 +665,7 @@ Status Controller::ApplyOutputDelta(const dlog::TxnDelta& delta) {
     // current.
     std::vector<DeviceBatch> none;
     for (const auto& [relation, rows] : delta.outputs) {
-      if (relation == options_.multicast_relation) {
+      if (relation == bindings_.multicast_relation) {
         NERPA_RETURN_IF_ERROR(ApplyMulticastDelta(rows, none));
       }
     }
@@ -720,7 +682,7 @@ Status Controller::ApplyOutputDelta(const dlog::TxnDelta& delta) {
     batches[i].device = &devices_[i];
   }
   for (const auto& [relation, rows] : delta.outputs) {
-    if (relation == options_.multicast_relation) {
+    if (relation == bindings_.multicast_relation) {
       NERPA_RETURN_IF_ERROR(ApplyMulticastDelta(rows, batches));
       continue;
     }
@@ -972,8 +934,7 @@ Status Controller::SyncDataPlaneNotifications() {
     device.client->SubscribeDigests([&](const p4::DigestMessage& message) {
       const DigestBinding* binding = bindings_.FindDigest(message.name);
       if (binding == nullptr) return;
-      dlog::Row row =
-          DigestToDlog(*binding, message, device.name, digest_seq_++);
+      dlog::Row row = DigestToDlog(*binding, message, device.name, 0);
       Status status = engine_->Insert(binding->relation, std::move(row));
       if (!status.ok() && first_error.ok()) first_error = status;
       {

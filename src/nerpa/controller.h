@@ -76,12 +76,6 @@ class Controller {
   };
 
   struct Options {
-    /// Name of an (extra, hand-declared) output relation whose rows are
-    /// multicast group membership instead of table entries.  Shape:
-    /// ([device: string,] group: bit<16>, port: bit<16>) — device present
-    /// iff the bindings were generated with a device column.
-    std::string multicast_relation;
-
     /// Engine checkpoint blob (from CheckpointEngine(), persisted through
     /// ha::DurableStore::WriteEngineCheckpoint) to warm-start from.  When
     /// non-empty, Start() restores the Datalog engine from it instead of
@@ -180,8 +174,7 @@ class Controller {
   /// Follower → leader.  Stamps `epoch` (the freshly-acquired lease epoch)
   /// as the fencing token on every device client — which simultaneously
   /// raises each switch's fence high-water mark, locking the old leader
-  /// out — recovers digest-sequence monotonicity from the engine's digest
-  /// relations, then reconciles every device with the minimal-diff resync.
+  /// out — then reconciles every device with the minimal-diff resync.
   /// On success the controller is leader; on failure it returns to
   /// follower (and the caller should release the lease).  Calling on a
   /// current leader just raises the fencing token.
@@ -260,9 +253,9 @@ class Controller {
   /// Snapshot of the counters (thread-safe against the commit path).
   Stats stats() const;
 
-  /// Next digest sequence number to be assigned.  Never persisted: it
-  /// starts above every seq in a restored engine (RecoverDigestSeqLocked).
-  int64_t digest_seq() const { return digest_seq_; }
+  /// Always 0: digests carry no sequence number (a keyed input keeps the
+  /// newest row per key).  Stays until perfbench stops reading it.
+  int64_t digest_seq() const { return 0; }
 
   /// Serializes the Datalog engine's derived state (between transactions)
   /// for Options::engine_checkpoint on the next start.  Persist it through
@@ -377,7 +370,7 @@ class Controller {
   /// registration order.
   Status ResyncAllDevices();
   /// Installs an engine restored from a checkpoint: counts it, reseeds the
-  /// multicast bookkeeping, derives the digest cursor and arms the catch-up.
+  /// multicast bookkeeping and arms the catch-up.
   /// Caller holds sync_mu_ (or is in Start()).
   Status AdoptRestoredEngine(std::unique_ptr<dlog::Engine> engine);
   /// Stamps `epoch` on every device client.  Caller holds sync_mu_ (or is
@@ -387,11 +380,6 @@ class Controller {
   /// analog) so their fence high-water marks rise before any write.
   /// Caller holds sync_mu_.
   Status ArbitrateAllLocked();
-  /// Raises digest_seq_ above every sequence number present in the
-  /// engine's digest relations, so most-recent-wins ordering survives a
-  /// restart or failover (never reissue a sequence number the previous
-  /// leader already assigned).  Caller holds sync_mu_ (or is in Start()).
-  void RecoverDigestSeqLocked();
 
   ovsdb::Database* db_;
   std::shared_ptr<const dlog::Program> program_;
@@ -408,7 +396,6 @@ class Controller {
   // Set by AdoptRestoredEngine; consumed by the next ProcessOvsdbUpdates
   // to run the catch-up reconciliation.
   bool reconcile_restored_ = false;
-  int64_t digest_seq_ = 0;
   /// Replication role.  Atomic so the write path can observe a demotion
   /// mid-batch without taking sync_mu_: Demote() runs from any thread,
   /// and from inside a commit that already holds the plane lock.

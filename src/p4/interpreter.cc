@@ -254,9 +254,11 @@ net::Packet Switch::Deparse(const Ctx& ctx, const net::Packet& in) const {
 
 Result<std::vector<PacketOut>> Switch::ProcessPacket(const PacketIn& in) {
   ++stats_.packets_in;
-  Ctx ctx;
+  Ctx& ctx = ctx_;
   ctx.values.assign(program_->slot_count, 0);
   ctx.valid.assign(program_->headers.size(), false);
+  ctx.unicast_set = ctx.dropped = false;
+  ctx.clone_ports.clear();
   ctx.values[kIngressPortSlot] = in.port;
   Status parsed = RunParser(ctx, in.packet);
   if (!parsed.ok()) {
@@ -266,7 +268,8 @@ Result<std::vector<PacketOut>> Switch::ProcessPacket(const PacketIn& in) {
   NERPA_RETURN_IF_ERROR(RunControl(ctx, program_->ingress));
 
   std::vector<PacketOut> out;
-  auto egress_one = [&](Ctx replica, uint64_t port) -> Status {
+  auto egress_one = [&](const Ctx& ingress, uint64_t port) -> Status {
+    Ctx& replica = replica_ = ingress;
     replica.values[kEgressPortSlot] = port;
     replica.values[kMcastGrpSlot] = 0;
     NERPA_RETURN_IF_ERROR(RunControl(replica, program_->egress));

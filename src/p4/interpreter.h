@@ -124,6 +124,7 @@ class Switch {
   std::shared_ptr<const P4Program> program_;
   std::vector<TableState> tables_;  // parallel to program_->tables
   std::vector<uint64_t> key_;       // lookup key, reused across tables
+  Ctx ctx_, replica_;  // a packet's context and an egress copy, reused
   std::map<uint32_t, std::vector<uint64_t>> multicast_;
   std::vector<std::pair<const Digest*, std::vector<uint64_t>>> digests_;
   Stats stats_;

@@ -45,12 +45,8 @@ Result<std::unique_ptr<SnvsHaPair>> BuildSnvsHaPair(
   }
   pair->p4_ = SnvsP4Program();
 
-  BindingOptions binding_options;
-  binding_options.with_device_column = false;
-  binding_options.with_digest_seq = true;
-  NERPA_ASSIGN_OR_RETURN(
-      pair->bindings_,
-      GenerateBindings(SnvsSchema(), *pair->p4_, binding_options));
+  NERPA_ASSIGN_OR_RETURN(pair->bindings_,
+                         GenerateBindings(SnvsSchema(), *pair->p4_));
   pair->program_text_ = pair->bindings_.DeclsText() + SnvsRules();
   NERPA_ASSIGN_OR_RETURN(pair->program_,
                          dlog::Program::Parse(pair->program_text_));
@@ -60,8 +56,8 @@ Result<std::unique_ptr<SnvsHaPair>> BuildSnvsHaPair(
   }
 
   // Recovered deployments warm-start both replicas from the persisted
-  // engine sidecar; each derives its digest sequence floor from the
-  // restored digest rows, even if the sidecar is older than the snapshot.
+  // engine sidecar, even if it is older than the snapshot: a MAC learned
+  // after it replaces the restored row under its key.
   std::string warm;
   if (pair->store_ != nullptr && pair->store_->recovered()) {
     Result<std::string> blob =
@@ -103,7 +99,6 @@ Status SnvsHaPair::BuildReplica(size_t index,
   }
 
   Controller::Options controller_options;
-  controller_options.multicast_relation = "MulticastGroup";
   controller_options.initial_role = Role::kFollower;
   controller_options.engine_checkpoint = warm_checkpoint;
   controller_options.retry = options_.retry;

@@ -223,10 +223,6 @@ std::string SnvsRules() {
 // snvs control plane (hand-written rules; declarations are generated).
 // ---------------------------------------------------------------------
 
-// Multicast flood groups are programmed through this extra output
-// relation; group id = vlan + 1 (group 0 means "no multicast").
-output relation MulticastGroup(group: bit<16>, port: bit<16>)
-
 // VLAN membership of each port (tagged = trunk membership).
 relation PortVlan(port: bigint, vlan: bigint, tagged: bool)
 PortVlan(p, t, false) :- Port(_, _, p, "access", t, _).
@@ -238,7 +234,8 @@ InVlanUntagged(p as bit<16>, "SetAccessVlan", t as bit<12>) :-
 InVlanTagged(p as bit<16>, v as bit<12>, "UseTaggedVlan", v as bit<12>) :-
     PortVlan(p, v, true).
 
-// Per-VLAN flooding.
+// Per-VLAN flooding through the generated MulticastGroup relation; group
+// id = vlan + 1 (group 0 means "no multicast").
 FloodVlan(v as bit<12>, "Flood", (v + 1) as bit<16>) :- PortVlan(_, v, _).
 MulticastGroup((v + 1) as bit<16>, p as bit<16>) :- PortVlan(p, v, _).
 
@@ -255,16 +252,13 @@ Acl(v as bit<12>, m as bit<48>, "AclAllow") :- AclRule(_, m, v, true).
 // SPAN port mirroring.
 PortMirror(s as bit<16>, "MirrorTo", d as bit<16>) :- Mirror(_, _, s, d).
 
-// MAC learning with most-recent-wins (seq is assigned by the controller).
-relation MaxSeq(vlan: bit<12>, mac: bit<48>, s: bigint)
-MaxSeq(v, m, s) :- MacLearn(_, v, m, seq), var s = max(seq) group_by (v, m).
-relation BestLearn(vlan: bit<12>, mac: bit<48>, port: bit<16>)
-BestLearn(v, m, p) :- MaxSeq(v, m, s), MacLearn(p, v, m, s).
+// MAC learning: the newest digest for a (vlan, mac) replaces the old one.
+key MacLearn(meta_vlan, ethernet_srcAddr)
 
 // A learned (vlan, mac, port) suppresses further digests on that port and
 // installs the unicast forwarding entry.
-SMac(v, m, p, "NoAction") :- BestLearn(v, m, p).
-Dmac(v, m, "Forward", p) :- BestLearn(v, m, p).
+SMac(v, m, p, "NoAction") :- MacLearn(p, v, m).
+Dmac(v, m, "Forward", p) :- MacLearn(p, v, m).
 )dl";
 }
 
@@ -287,13 +281,9 @@ Result<std::unique_ptr<SnvsStack>> BuildSnvsStack(const SnvsOptions& options) {
   }
   stack->p4_ = SnvsP4Program();
 
-  BindingOptions binding_options;
-  binding_options.with_device_column = false;
-  binding_options.with_digest_seq = true;
   NERPA_ASSIGN_OR_RETURN(
       stack->bindings_,
-      GenerateBindings(stack->db_raw_->schema(), *stack->p4_,
-                       binding_options));
+      GenerateBindings(stack->db_raw_->schema(), *stack->p4_));
 
   stack->program_text_ = stack->bindings_.DeclsText() + SnvsRules();
   NERPA_ASSIGN_OR_RETURN(stack->program_,
@@ -320,7 +310,6 @@ Result<std::unique_ptr<SnvsStack>> BuildSnvsStack(const SnvsOptions& options) {
   }
 
   Controller::Options controller_options;
-  controller_options.multicast_relation = "MulticastGroup";
   if (recovered) {
     // Warm-start the control plane from the engine checkpoint sidecar when
     // one survived.  Any failure here (absent, corrupt, stale program) just
@@ -361,8 +350,8 @@ Status SnvsStack::Checkpoint() {
   NERPA_RETURN_IF_ERROR(store_->Checkpoint());
   // Engine sidecar after the snapshot: a crash in between leaves an older
   // sidecar beside a newer snapshot, which restore reconciles (catch-up
-  // diff for management rows; digest state is soft and re-learned, with
-  // sequence numbers above every restored one).
+  // diff for management rows; digest state is soft, and a re-learned MAC
+  // replaces the restored row under its key).
   NERPA_ASSIGN_OR_RETURN(std::string blob, controller_->CheckpointEngine());
   return store_->WriteEngineCheckpoint(kEngineCheckpointName, blob);
 }

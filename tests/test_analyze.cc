@@ -261,18 +261,30 @@ TEST_F(CrossPlaneTest, Nw201OutputBoundToNoTable) {
 }
 
 TEST_F(CrossPlaneTest, Nw201MulticastRelationExempt) {
+  // An action that multicasts makes the bindings generate MulticastGroup,
+  // which no table consumes; the controller programs groups from it.
+  std::string source = kP4;
+  std::string lost = "action Lost() { drop(); }";
+  source.replace(source.find(lost), lost.size(),
+                 "action Lost() { multicast(1); }");
+  auto p4 = p4::ParseP4Text(source);
+  ASSERT_TRUE(p4.ok()) << p4.status().ToString();
+  p4_ = std::move(p4).value();
   std::string rules =
       "output relation Orphan(x: bigint)\n"
       "Orphan(p) :- Host(_, _, _, p).\n"
+      "MulticastGroup(1, p as bit<16>) :- Host(_, _, _, p).\n"
       "IpRoute(0, 0, \"Route\", p as bit<16>) :- Host(_, _, _, p),"
       " Learn(_).\n"
       "Acl(s, s, 1, \"Discard\") :- Learn(s).\n";
-  AnalyzeOptions options;
-  options.multicast_relations = {"Orphan"};
-  Analysis analysis = Analyze(rules, options);
+  Analysis analysis = Analyze(rules);
+  std::vector<std::string> unbound;
   for (const Diagnostic& d : analysis.diagnostics) {
-    EXPECT_NE(d.code, "NW201") << d.message;
+    if (d.code == "NW201") unbound.push_back(d.message);
   }
+  EXPECT_EQ(unbound, std::vector<std::string>{
+                         "output relation 'Orphan' is not bound to any P4 "
+                         "table; its rows go nowhere"});
 }
 
 TEST_F(CrossPlaneTest, Nw202CastMayTruncate) {
@@ -481,7 +493,6 @@ TEST(ShippedStacks, AllBuiltinsAnalyzeClean) {
     input.rules = stack->rules;
     input.binding_options = stack->options;
     AnalyzeOptions options;
-    options.multicast_relations = stack->multicast_relations;
     options.rules_include_decls =
         input.schema == nullptr && input.p4 == nullptr;
     auto analysis = AnalyzeStack(input, options);

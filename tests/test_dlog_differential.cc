@@ -41,6 +41,15 @@ std::shared_ptr<const Program> MustParse(const char* source) {
   return *program;
 }
 
+/// A builtin stack's whole program (generated declarations included).
+std::shared_ptr<const Program> ParseStack(const char* name) {
+  auto stack = examples::GetStack(name);
+  EXPECT_TRUE(stack.ok()) << stack.status().ToString();
+  auto source = examples::StackProgram(*stack);
+  EXPECT_TRUE(source.ok()) << source.status().ToString();
+  return MustParse(source->c_str());
+}
+
 /// Dump of every relation, stringified, for whole-state comparison.
 std::string DumpAll(const Engine& engine) {
   std::string out;
@@ -91,9 +100,9 @@ Least(g, m) :- V(g, x), not B(g, _), var m = min(x) group_by (g).
 // The shapes whose plans differ between bootstrap and steady state: a
 // first literal filtered only by a constant, which the bootstrap probes
 // through an arrangement another rule keeps (Zero) or scans (One), a max
-// whose result joins back to its input (Hi/Hop, like snvs's
-// MaxSeq/BestLearn), a non-recursive two-literal join with an invertible
-// head (Join), and a recursive stratum beside them (Path).
+// whose result joins back to its input (Hi/Hop), a non-recursive
+// two-literal join with an invertible head (Join), and a recursive stratum
+// beside them (Path).
 constexpr const char* kReplanProgram = R"(
 input relation E(a: bigint, b: bigint)
 input relation F(a: bigint, b: bigint)
@@ -214,6 +223,135 @@ TEST(DlogOracle, ReplannedShapesStreamsMatchFromScratch) {
 }
 
 // ---------------------------------------------------------------------------
+// Keyed inputs against the program they replaced: snvs keeps the newest
+// digest per (vlan, mac) with `key MacLearn(meta_vlan, ethernet_srcAddr)`.
+// Before keys the controller numbered every digest and the rules picked the
+// highest number per (vlan, mac) with a max and a join back; that program
+// is kept here as the reference.  On the same digest streams both derive
+// the same SMac and Dmac deltas and contents after every commit, and so
+// does a fresh engine loaded with the MacLearn rows the key kept.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kSeqLearnProgram = R"(
+input relation MacLearn(standard_ingress_port: bit<16>, meta_vlan: bit<12>,
+                        ethernet_srcAddr: bit<48>, seq: bigint)
+output relation SMac(meta_vlan: bit<12>, ethernet_srcAddr: bit<48>,
+                     standard_ingress_port: bit<16>, action: string)
+output relation Dmac(meta_vlan: bit<12>, ethernet_dstAddr: bit<48>,
+                     action: string, port: bit<16>)
+relation MaxSeq(vlan: bit<12>, mac: bit<48>, s: bigint)
+MaxSeq(v, m, s) :- MacLearn(_, v, m, seq), var s = max(seq) group_by (v, m).
+relation BestLearn(vlan: bit<12>, mac: bit<48>, port: bit<16>)
+BestLearn(v, m, p) :- MaxSeq(v, m, s), MacLearn(p, v, m, s).
+SMac(v, m, p, "NoAction") :- BestLearn(v, m, p).
+Dmac(v, m, "Forward", p) :- BestLearn(v, m, p).
+)";
+
+/// SMac and Dmac of a delta, or of an engine's contents.
+std::string Learned(const TxnDelta& delta) {
+  TxnDelta out;
+  for (const char* name : {"SMac", "Dmac"}) {
+    auto it = delta.outputs.find(name);
+    if (it != delta.outputs.end()) out.outputs[name] = it->second;
+  }
+  return out.ToString();
+}
+std::string Learned(const Engine& engine) {
+  std::string out;
+  for (const char* name : {"SMac", "Dmac"}) {
+    auto rows = engine.Dump(name);
+    for (const Row& row : *rows) {
+      out += std::string(name) + RowToString(row) + "\n";
+    }
+  }
+  return out;
+}
+
+/// One seeded stream of learns over 3 ports, 2 VLANs and 3 MACs, 1-4 per
+/// commit: host moves, repeated digests, and (in the first commit, which
+/// runs the bootstrap, and in a quarter of the rest) two learns of one key
+/// on different ports.  Halfway, the keyed engine is replaced by its own
+/// checkpoint.  Returns "" or the first divergence.
+std::string RunKeyedLearnStream(const std::shared_ptr<const Program>& keyed,
+                                const std::shared_ptr<const Program>& seq,
+                                EngineOptions options, uint64_t seed) {
+  auto live = std::make_unique<Engine>(keyed, options);
+  Engine reference(seq, options);
+  int64_t next_seq = 0;  // numbered as the controller numbered digests
+  std::mt19937_64 rng(seed);
+  for (int commit = 0; commit < kOracleCommits; ++commit) {
+    if (commit == kOracleCommits / 2) {
+      auto restored = Engine::Restore(keyed, live->SerializeState(), options);
+      if (!restored.ok()) return restored.status().ToString();
+      live = std::move(restored).value();
+    }
+    std::vector<Row> learns;
+    for (int k = 1 + static_cast<int>(rng() % 4); k > 0; --k) {
+      learns.push_back(R({Value::Bit(1 + rng() % 3), Value::Bit(1 + rng() % 2),
+                          Value::Bit(1 + rng() % 3)}));
+    }
+    if (commit == 0 || rng() % 4 == 0) {
+      learns.push_back(R({Value::Bit(1 + (learns[0][0].as_bit() % 3)),
+                          learns[0][1], learns[0][2]}));
+    }
+    std::string ops;
+    for (const Row& learn : learns) {
+      Row numbered = learn;
+      numbered.push_back(I(next_seq++));
+      if (!live->Insert("MacLearn", learn).ok() ||
+          !reference.Insert("MacLearn", numbered).ok()) {
+        return "insert failed";
+      }
+      ops += " " + RowToString(learn);
+    }
+    auto live_delta = live->Commit();
+    auto reference_delta = reference.Commit();
+    if (!live_delta.ok() || !reference_delta.ok()) return "commit failed";
+
+    Engine fresh(keyed, options);
+    auto kept = live->Dump("MacLearn");
+    for (const Row& row : *kept) {
+      if (!fresh.Insert("MacLearn", row).ok()) return "fresh insert failed";
+    }
+    if (!fresh.Commit().ok()) return "fresh commit failed";
+
+    std::string where = StrFormat("commit %d (learns:%s)", commit, ops.c_str());
+    if (Learned(*live_delta) != Learned(*reference_delta)) {
+      return where + ": keyed delta\n" + Learned(*live_delta) +
+             "seq delta\n" + Learned(*reference_delta);
+    }
+    if (Learned(*live) != Learned(reference)) {
+      return where + ": keyed state\n" + Learned(*live) + "seq state\n" +
+             Learned(reference);
+    }
+    if (Learned(*live) != Learned(fresh)) {
+      return where + ": keyed state\n" + Learned(*live) +
+             "fresh engine\n" + Learned(fresh);
+    }
+  }
+  return "";
+}
+
+TEST(DlogOracle, KeyedLearnMatchesSeqProgram) {
+  auto keyed = ParseStack("snvs");
+  auto seq = MustParse(kSeqLearnProgram);
+  // A checkpoint of the seq program does not restore into the keyed one
+  // (the controller then cold-starts).
+  auto old = Engine::Restore(keyed, Engine(seq).SerializeState());
+  ASSERT_FALSE(old.ok());
+  EXPECT_NE(old.status().message().find("fingerprint"), std::string::npos);
+  for (bool arrangements : {true, false}) {
+    SCOPED_TRACE(arrangements ? "arrangements" : "scans");
+    for (uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
+      std::string failure = RunKeyedLearnStream(
+          keyed, seq, EngineOptions{.use_arrangements = arrangements}, seed);
+      EXPECT_EQ(failure, "") << "seed " << seed;
+      if (!failure.empty()) break;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Arrangement census: an arrangement exists only for a lookup that runs
 // after the first commit (delta plans and negated pins everywhere; full and
 // re-derivation plans in recursive strata), and its upkeep records presence
@@ -240,25 +378,22 @@ std::vector<std::string> Census(const Program& program) {
   return out;
 }
 
-std::shared_ptr<const Program> ParseStack(const char* name) {
-  auto stack = examples::GetStack(name);
-  EXPECT_TRUE(stack.ok()) << stack.status().ToString();
-  auto source = examples::StackProgram(*stack);
-  EXPECT_TRUE(source.ok()) << source.status().ToString();
-  return MustParse(source->c_str());
-}
-
 bool Recursive(const Program& program, const CompiledRule& rule) {
   int stratum = program.stratum_of(rule.head_relation);
   return program.strata()[static_cast<size_t>(stratum)].recursive;
 }
 
-/// Walks every plan and checks each arrangement against its readers: some
-/// plan that runs after the first commit reads it; it records flips iff a
-/// negated pin reads it, and deleted rows iff a delta-plan lookup reads it
-/// in OLD mode (right of the pin, or anywhere in a recursive stratum).
+/// Walks every plan and checks each arrangement against its readers: an
+/// input key's pre-pass or some plan that runs after the first commit reads
+/// it; it records flips iff a negated pin reads it, and deleted rows iff a
+/// delta-plan lookup reads it in OLD mode (right of the pin, or anywhere in
+/// a recursive stratum).
 void ExpectArrangementsMatchReaders(const Program& program) {
   std::set<std::pair<int, int>> steady, flips, deleted;
+  for (size_t rel = 0; rel < program.relations().size(); ++rel) {
+    int key = program.key_arrangement(static_cast<int>(rel));
+    if (key >= 0) steady.insert({static_cast<int>(rel), key});
+  }
   for (const CompiledRule& rule : program.rules()) {
     bool recursive = Recursive(program, rule);
     auto relation_of = [&](const LookupPlan& lookup) {
@@ -306,14 +441,12 @@ void ExpectArrangementsMatchReaders(const Program& program) {
   }
 }
 
-TEST(DlogArrangementCensus, SnvsKeepsTwoOfElevenIndexes) {
+TEST(DlogArrangementCensus, SnvsKeepsOnlyTheMacLearnKey) {
   auto snvs = ParseStack("snvs");
-  // MacLearn is read right of the MaxSeq pin (OLD); MaxSeq is read left of
-  // the MacLearn pin (NEW), so it keeps no deleted rows.
-  EXPECT_EQ(Census(*snvs),
-            (std::vector<std::string>{
-                "MacLearn(meta_vlan, ethernet_srcAddr, seq) deleted",
-                "MaxSeq(vlan, mac, s)"}));
+  // Every snvs rule reads one literal, so only the key's pre-pass probes an
+  // index: the insert of a learned MAC finds the row it replaces.
+  EXPECT_EQ(Census(*snvs), std::vector<std::string>{
+                               "MacLearn(meta_vlan, ethernet_srcAddr)"});
   EXPECT_EQ(Census(*ParseStack("multi_device")),
             std::vector<std::string>{});
   // E5's load-balancer program: Lb keyed on vip and Backend keyed on both
@@ -905,6 +1038,37 @@ TEST(DlogRollback, RepeatedFailuresDoNotAccumulateState) {
             stats_before.arrangement_entries);
   EXPECT_EQ(engine.Size("Mirror"), 1u);
   EXPECT_EQ(engine.Size("Quot"), 1u);
+}
+
+TEST(DlogRollback, FailedCommitRestoresReplacedKeyedRows) {
+  // X keyed on a: an insert replaces the row holding its a.
+  std::string keyed = kDivProgram;
+  keyed.insert(keyed.find("output relation"), "key X(a)\n");
+  auto program = MustParse(keyed.c_str());
+  for (bool arrangements : {true, false}) {
+    Engine engine(program, EngineOptions{.use_arrangements = arrangements});
+    ASSERT_TRUE(engine.Insert("X", R({I(1), I(2)})).ok());
+    ASSERT_TRUE(engine.Insert("X", R({I(2), I(4)})).ok());
+    ASSERT_TRUE(engine.Commit().ok());
+    std::string before = DumpAll(engine);
+
+    // Replaces both rows; the second replacement divides by zero.
+    ASSERT_TRUE(engine.Insert("X", R({I(1), I(5)})).ok());
+    ASSERT_TRUE(engine.Insert("X", R({I(2), I(0)})).ok());
+    ASSERT_FALSE(engine.Commit().ok());
+    EXPECT_EQ(DumpAll(engine), before);
+
+    auto delta = engine.Commit();  // nothing queued
+    ASSERT_TRUE(delta.ok());
+    EXPECT_TRUE(delta->empty());
+    ASSERT_TRUE(engine.Insert("X", R({I(1), I(5)})).ok());
+    delta = engine.Commit();
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    EXPECT_EQ(delta->outputs.at("Quot"),
+              (SetDelta{{R({I(1), I(50)}), -1}, {R({I(1), I(20)}), +1}}));
+    EXPECT_EQ(*engine.Dump("X"), (std::vector<Row>{R({I(1), I(5)}),
+                                                   R({I(2), I(4)})}));
+  }
 }
 
 }  // namespace

@@ -119,6 +119,42 @@ TEST(Parser, SyntaxErrors) {
   )").ok());  // duplicate relation
 }
 
+TEST(Parser, InputKeys) {
+  auto ast = ParseProgram(R"(
+    input relation Learn(port: bit<16>, vlan: bit<12>, mac: bit<48>)
+    key Learn(vlan, mac)
+    output relation Key(key: bigint)
+    Key(key) :- Learn(_, _, _), var key = 1.
+  )");
+  ASSERT_TRUE(ast.ok()) << ast.status().ToString();
+  ASSERT_EQ(ast->keys.size(), 1u);
+  EXPECT_EQ(ast->keys[0].ToString(), "Learn(vlan, mac)");
+  EXPECT_EQ(ast->keys[0].line, 3);
+  EXPECT_NE(ast->ToString().find("\nkey Learn(vlan, mac)\n"),
+            std::string::npos);
+
+  auto error = [](const std::string& key) {
+    auto parsed = ParseProgram(R"(
+      input relation Learn(port: bit<16>, vlan: bit<12>, mac: bit<48>)
+      relation Mid(vlan: bit<12>)
+)" + key + "\ninput relation Later(x: bigint)");
+    EXPECT_FALSE(parsed.ok()) << key;
+    return parsed.ok() ? std::string() : parsed.status().message();
+  };
+  EXPECT_EQ(error("key Lern(vlan)"),
+            "line 4:1: key Lern: no such relation declared before it");
+  EXPECT_EQ(error("key Later(x)"),
+            "line 4:1: key Later: no such relation declared before it");
+  EXPECT_EQ(error("key Learn(vlan, host)"),
+            "line 4:1: key Learn: no column 'host'");
+  EXPECT_EQ(error("key Learn(vlan + 1)"),
+            "line 4:1: key Learn: no column '(vlan + 1)'");
+  EXPECT_EQ(error("key Learn()"), "line 4:1: key Learn: no columns");
+  EXPECT_EQ(error("key Mid(vlan)"), "line 4:1: key Mid: not an input");
+  EXPECT_EQ(error("key Learn(vlan)\n  key Learn(mac)"),
+            "line 5:3: key Learn: a second key");
+}
+
 TEST(Compile, TypesFlowThroughRules) {
   auto program = Program::Parse(R"(
     input relation P(port: bit<16>, name: string)

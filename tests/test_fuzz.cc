@@ -435,44 +435,16 @@ class CountFields {
   std::vector<std::pair<size_t, size_t>> fields_;
 };
 
-TEST(Fuzz, DlogCheckpointRestore) {
-  auto program = dlog::Program::Parse(kCheckpointProgram);
-  ASSERT_TRUE(program.ok()) << program.status().ToString();
-  dlog::Engine engine(*program);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(engine.Insert("Port", PortRow(i)).ok());
-    ASSERT_TRUE(engine.Insert("Link", LinkRow(i, (i + 1) % 5)).ok());
-  }
-  ASSERT_TRUE(engine.Commit().ok());
-  // Deletes too, so counts and groups have been decremented.
-  ASSERT_TRUE(engine.Delete("Port", PortRow(3)).ok());
-  ASSERT_TRUE(engine.Delete("Link", LinkRow(6, 1)).ok());
-  ASSERT_TRUE(engine.Commit().ok());
-  const std::string blob = engine.SerializeState();
-  ASSERT_TRUE(dlog::Engine::Restore(*program, blob).ok());
+/// Restores kMutations mutants of `blob`: bit flips, truncations, count
+/// field edits and splices.  Each must be rejected, or restore to an engine
+/// that `drill` can commit on (its commits come back as a Status).  Returns
+/// how many mutants restored.
+template <typename DrillFn>
+int DrillCheckpointMutants(const std::shared_ptr<const dlog::Program>& program,
+                           const std::string& blob, DrillFn&& drill) {
   const std::vector<std::pair<size_t, size_t>> fields =
       CountFields(blob).fields();
-
-  // A mutant must be rejected, or restore to an engine whose next commits
-  // come back as a Status.
   int accepted = 0;
-  auto check = [&](const std::string& mutant) {
-    auto restored = dlog::Engine::Restore(*program, mutant);
-    if (!restored.ok()) return;
-    ++accepted;
-    dlog::Engine& e = **restored;
-    (void)e.Insert("Port", PortRow(9));
-    (void)e.Delete("Port", PortRow(1));
-    (void)e.Delete("Link", LinkRow(2, 3));
-    (void)e.Insert("Link", LinkRow(9, 2));
-    (void)e.Commit();
-    for (const auto& decl : e.program().relations()) (void)e.Dump(decl.name);
-    (void)e.Insert("Port", PortRow(1));
-    (void)e.Delete("Port", PortRow(0));
-    (void)e.Insert("Link", LinkRow(2, 3));
-    (void)e.Commit();
-  };
-
   std::mt19937_64 rng(10);
   for (int i = 0; i < kMutations; ++i) {
     std::string mutant = blob;
@@ -506,10 +478,121 @@ TEST(Fuzz, DlogCheckpointRestore) {
         break;
       }
     }
-    check(mutant);
+    auto restored = dlog::Engine::Restore(program, mutant);
+    if (!restored.ok()) continue;
+    ++accepted;
+    drill(**restored);
   }
+  return accepted;
+}
+
+/// Reads every relation back; a damaged engine must answer, not crash.
+void DumpAll(const dlog::Engine& engine) {
+  for (const auto& decl : engine.program().relations()) {
+    (void)engine.Dump(decl.name);
+  }
+}
+
+TEST(Fuzz, DlogCheckpointRestore) {
+  auto program = dlog::Program::Parse(kCheckpointProgram);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  dlog::Engine engine(*program);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(engine.Insert("Port", PortRow(i)).ok());
+    ASSERT_TRUE(engine.Insert("Link", LinkRow(i, (i + 1) % 5)).ok());
+  }
+  ASSERT_TRUE(engine.Commit().ok());
+  // Deletes too, so counts and groups have been decremented.
+  ASSERT_TRUE(engine.Delete("Port", PortRow(3)).ok());
+  ASSERT_TRUE(engine.Delete("Link", LinkRow(6, 1)).ok());
+  ASSERT_TRUE(engine.Commit().ok());
+  const std::string blob = engine.SerializeState();
+  ASSERT_TRUE(dlog::Engine::Restore(*program, blob).ok());
+
+  int accepted = DrillCheckpointMutants(*program, blob, [](dlog::Engine& e) {
+    (void)e.Insert("Port", PortRow(9));
+    (void)e.Delete("Port", PortRow(1));
+    (void)e.Delete("Link", LinkRow(2, 3));
+    (void)e.Insert("Link", LinkRow(9, 2));
+    (void)e.Commit();
+    DumpAll(e);
+    (void)e.Insert("Port", PortRow(1));
+    (void)e.Delete("Port", PortRow(0));
+    (void)e.Insert("Link", LinkRow(2, 3));
+    (void)e.Commit();
+  });
   // Some mutants (a flipped payload bit, a count off by one) still decode,
   // so the drill reaches Commit() on damaged state.
+  EXPECT_GT(accepted, 0);
+}
+
+// A keyed input (the first relation, so its rows open the blob) and an
+// aggregate over it.
+constexpr const char* kKeyedCheckpointProgram = R"(
+input relation Learn(port: bit<16>, vlan: bit<12>, mac: bit<48>)
+key Learn(vlan, mac)
+output relation Fwd(vlan: bit<12>, mac: bit<48>, port: bit<16>)
+output relation PerPort(port: bit<16>, n: bigint)
+Fwd(v, m, p) :- Learn(p, v, m).
+PerPort(p, n) :- Learn(p, _, m), var n = count(m) group_by (p).
+)";
+
+dlog::Row LearnRow(uint64_t port, uint64_t vlan, uint64_t mac) {
+  return dlog::Row{dlog::Value::Bit(port), dlog::Value::Bit(vlan),
+                   dlog::Value::Bit(mac)};
+}
+
+TEST(Fuzz, DlogCheckpointRestoreKeyed) {
+  auto program = dlog::Program::Parse(kKeyedCheckpointProgram);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  dlog::Engine engine(*program);
+  for (uint64_t mac = 0; mac < 8; ++mac) {
+    ASSERT_TRUE(engine.Insert("Learn", LearnRow(1 + mac % 3, 1, mac)).ok());
+  }
+  ASSERT_TRUE(engine.Commit().ok());
+  // Host moves: each insert replaces the row under its key.
+  ASSERT_TRUE(engine.Insert("Learn", LearnRow(4, 1, 2)).ok());
+  ASSERT_TRUE(engine.Insert("Learn", LearnRow(5, 1, 6)).ok());
+  ASSERT_TRUE(engine.Commit().ok());
+  ASSERT_EQ(engine.Size("Learn"), 8u);
+  const std::string blob = engine.SerializeState();
+  ASSERT_TRUE(dlog::Engine::Restore(*program, blob).ok());
+  // The fingerprint covers the key.
+  std::string unkeyed = kKeyedCheckpointProgram;
+  unkeyed.erase(unkeyed.find("key Learn"), std::strlen("key Learn(vlan, mac)"));
+  auto unkeyed_program = dlog::Program::Parse(unkeyed);
+  ASSERT_TRUE(unkeyed_program.ok()) << unkeyed_program.status().ToString();
+  EXPECT_FALSE(dlog::Engine::Restore(*unkeyed_program, blob).ok());
+
+  // The splice the key forbids: Learn's first row again on another port,
+  // with the relation's row count raised to match.
+  const size_t nrows_at = 4 + 4 + 8 + 4 + 4 + std::strlen("Learn");
+  const size_t row_at = nrows_at + 8;
+  const size_t row_len = 4 + 3 * (1 + 8) + 8;  // three bit<w>, then count
+  std::string second = blob.substr(row_at, row_len);
+  second[4 + 1] ^= 0x40;  // low byte of the port
+  std::string mutant = blob;
+  mutant.insert(row_at, second);
+  uint64_t nrows = 0;
+  std::memcpy(&nrows, blob.data() + nrows_at, 8);
+  ++nrows;
+  std::memcpy(mutant.data() + nrows_at, &nrows, 8);
+  auto rejected = dlog::Engine::Restore(*program, mutant);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("two rows under one key"),
+            std::string::npos)
+      << rejected.status().ToString();
+
+  int accepted = DrillCheckpointMutants(*program, blob, [](dlog::Engine& e) {
+    (void)e.Insert("Learn", LearnRow(9, 1, 0));
+    (void)e.Insert("Learn", LearnRow(2, 1, 0));
+    (void)e.Delete("Learn", LearnRow(3, 1, 2));
+    (void)e.Commit();
+    DumpAll(e);
+    (void)e.Insert("Learn", LearnRow(1, 1, 3));
+    (void)e.Delete("Learn", LearnRow(1, 1, 3));
+    (void)e.Commit();
+  });
   EXPECT_GT(accepted, 0);
 }
 

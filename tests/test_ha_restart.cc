@@ -239,92 +239,91 @@ TEST(HaRestart, DeviceRegisteredAfterStartIsResynced) {
   EXPECT_EQ(DeviceState(*late.sw), DeviceState(stack->device()));
 }
 
-TEST(HaRestart, DigestSeqStaysMonotoneAcrossRestart) {
-  std::string dir = FreshDir("digest_seq");
-  int64_t seq_at_checkpoint = 0;
-  {
-    SnvsOptions options;
-    options.ha_dir = dir;
-    auto stack = BuildSnvsStack(options);
-    ASSERT_TRUE(stack.ok()) << stack.status().ToString();
-    ASSERT_TRUE((*stack)->AddPort("p1", 1, "access", 10).ok());
-    ASSERT_TRUE((*stack)->AddPort("p2", 2, "access", 10).ok());
-    // Traffic drives MAC-learning digests, which consume sequence numbers.
-    auto out = (*stack)->InjectPacket(
-        0, 1,
-        net::MakeEthernetFrame(Mac(0, 0, 0, 0, 0, 0xBB),
-                               Mac(0, 0, 0, 0, 0, 0xAA), 0x0800, {1, 2, 3}));
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    seq_at_checkpoint = (*stack)->controller().digest_seq();
-    ASSERT_GT(seq_at_checkpoint, 0);
-    ASSERT_TRUE((*stack)->Checkpoint().ok());
-  }
+/// A frame from host `src` to host 0xEE (never learned, so it floods).
+net::Packet FrameFrom(uint8_t src) {
+  return net::MakeEthernetFrame(Mac(0, 0, 0, 0, 0, 0xEE),
+                                Mac(0, 0, 0, 0, 0, src), 0x0800, {1, 2, 3});
+}
 
+/// The port Dmac forwards host `mac` to on VLAN 10, or 0 if unlearned.
+uint64_t LearnedPort(const p4::Switch& sw, uint64_t mac) {
+  const p4::TableEntry* entry = sw.GetTable("Dmac")->Lookup({10, mac});
+  return entry == nullptr ? 0 : entry->action_args.at(0);
+}
+
+/// Builds a durable stack in `dir`; a fresh one gets access ports 1-3 on
+/// VLAN 10, a recovered one has them.
+std::unique_ptr<SnvsStack> PortsStack(const std::string& dir) {
   SnvsOptions options;
   options.ha_dir = dir;
   auto stack = BuildSnvsStack(options);
-  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
-  // The cursor picks up where the checkpoint left it — re-learned MACs get
-  // strictly larger seqs, so most-recent-wins ordering stays correct.
-  EXPECT_EQ((*stack)->controller().digest_seq(), seq_at_checkpoint);
+  EXPECT_TRUE(stack.ok()) << stack.status().ToString();
+  if (!stack.ok()) return nullptr;
+  if (!(*stack)->store()->recovered()) {
+    for (int64_t port = 1; port <= 3; ++port) {
+      EXPECT_TRUE(
+          (*stack)->AddPort("p" + std::to_string(port), port, "access", 10)
+              .ok());
+    }
+  }
+  return std::move(stack).value();
+}
 
-  auto out = (*stack)->InjectPacket(
+/// Moves host 0xAA to port 3 and checks that the stack learned the move:
+/// one MacLearn row for it, and traffic to it leaves on port 3 only.
+void ExpectMoveToPort3Forwarded(SnvsStack& stack) {
+  ASSERT_TRUE(stack.InjectPacket(0, 3, FrameFrom(0xAA)).ok());
+  ASSERT_TRUE(stack.controller().last_error().ok());
+  EXPECT_EQ(LearnedPort(stack.device(), 0xAA), 3u);
+  auto learned = stack.controller().engine().Dump("MacLearn");
+  ASSERT_TRUE(learned.ok()) << learned.status().ToString();
+  size_t rows = 0;
+  for (const dlog::Row& row : *learned) rows += row[2].as_bit() == 0xAA;
+  EXPECT_EQ(rows, 1u);
+  auto out = stack.InjectPacket(
       0, 2,
       net::MakeEthernetFrame(Mac(0, 0, 0, 0, 0, 0xAA),
                              Mac(0, 0, 0, 0, 0, 0xBB), 0x0800, {1, 2, 3}));
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_GT((*stack)->controller().digest_seq(), seq_at_checkpoint);
+  ASSERT_EQ(out->size(), 1u);
+  EXPECT_EQ((*out)[0].port, 3u);
 }
 
-TEST(HaRestart, DigestSeqClearsRowsRestoredFromAnOlderSidecar) {
-  std::string dir = FreshDir("digest_seq_old_sidecar");
-  auto frame_from = [](uint8_t src) {
-    return net::MakeEthernetFrame(Mac(0, 0, 0, 0, 0, 0xEE),
-                                  Mac(0, 0, 0, 0, 0, src), 0x0800, {1, 2, 3});
-  };
+TEST(HaRestart, HostMoveIsForwardedAfterRestart) {
+  std::string dir = FreshDir("host_move");
   {
-    SnvsOptions options;
-    options.ha_dir = dir;
-    auto stack = BuildSnvsStack(options);
-    ASSERT_TRUE(stack.ok()) << stack.status().ToString();
-    for (int64_t port = 1; port <= 3; ++port) {
-      ASSERT_TRUE(
-          (*stack)->AddPort("p" + std::to_string(port), port, "access", 10)
-              .ok());
-    }
-    ASSERT_TRUE((*stack)->InjectPacket(0, 1, frame_from(0xAA)).ok());
-    ASSERT_TRUE((*stack)->Checkpoint().ok());
-    ASSERT_TRUE((*stack)->InjectPacket(0, 2, frame_from(0xCC)).ok());
+    auto stack = PortsStack(dir);
+    ASSERT_NE(stack, nullptr);
+    ASSERT_TRUE(stack->InjectPacket(0, 1, FrameFrom(0xAA)).ok());
+    ASSERT_EQ(LearnedPort(stack->device(), 0xAA), 1u);
+    ASSERT_TRUE(stack->Checkpoint().ok());
+  }
+  auto stack = PortsStack(dir);
+  ASSERT_NE(stack, nullptr);
+  EXPECT_EQ(stack->controller().stats().engine_restores, 1u);
+  EXPECT_EQ(LearnedPort(stack->device(), 0xAA), 1u);
+  ExpectMoveToPort3Forwarded(*stack);
+}
+
+TEST(HaRestart, HostMoveIsForwardedAfterRestartFromAnOlderSidecar) {
+  std::string dir = FreshDir("host_move_old_sidecar");
+  {
+    auto stack = PortsStack(dir);
+    ASSERT_NE(stack, nullptr);
+    ASSERT_TRUE(stack->InjectPacket(0, 1, FrameFrom(0xAA)).ok());
+    ASSERT_TRUE(stack->Checkpoint().ok());
+    ASSERT_TRUE(stack->InjectPacket(0, 2, FrameFrom(0xCC)).ok());
     // A snapshot alone: the crash window between the snapshot and the
     // sidecar write leaves a newer snapshot beside the older sidecar.
-    ASSERT_TRUE((*stack)->store()->Checkpoint().ok());
+    ASSERT_TRUE(stack->store()->Checkpoint().ok());
   }
-
-  SnvsOptions options;
-  options.ha_dir = dir;
-  auto stack = BuildSnvsStack(options);
-  ASSERT_TRUE(stack.ok()) << stack.status().ToString();
-  Controller& controller = (*stack)->controller();
-  EXPECT_EQ(controller.stats().engine_restores, 1u);
-  // The cursor starts above every restored digest row's seq.
-  auto learned = controller.engine().Dump("MacLearn");
-  ASSERT_TRUE(learned.ok()) << learned.status().ToString();
-  ASSERT_FALSE(learned->empty());
-  for (const dlog::Row& row : *learned) {
-    EXPECT_LT(row[row.size() - 1].as_int(), controller.digest_seq());
-  }
-
-  // AA moves to port 3: its new digest outranks the restored one.
-  ASSERT_TRUE((*stack)->InjectPacket(0, 3, frame_from(0xAA)).ok());
-  ASSERT_TRUE(controller.last_error().ok());
-  bool forwarded = false;
-  for (const p4::TableEntry* entry :
-       (*stack)->device().GetTable("Dmac")->Entries()) {
-    if (entry->match[1].value != 0xAA) continue;
-    EXPECT_EQ(entry->action_args, std::vector<uint64_t>{3});
-    forwarded = true;
-  }
-  EXPECT_TRUE(forwarded);
+  auto stack = PortsStack(dir);
+  ASSERT_NE(stack, nullptr);
+  EXPECT_EQ(stack->controller().stats().engine_restores, 1u);
+  // The sidecar holds AA's learn but not CC's.
+  EXPECT_EQ(LearnedPort(stack->device(), 0xAA), 1u);
+  EXPECT_EQ(LearnedPort(stack->device(), 0xCC), 0u);
+  ExpectMoveToPort3Forwarded(*stack);
 }
 
 TEST(HaRestart, CorruptSnapshotFallsBackToPreviousGeneration) {
@@ -638,6 +637,42 @@ TEST(HaFailover, DoubleFailoverConvergesWithWarmCheckpoints) {
             devices_before);
   ASSERT_TRUE(pair.AddPort("p5", 5, "access", 10).ok());
   ASSERT_TRUE(pair.controller(0).last_error().ok());
+}
+
+TEST(HaFailover, HostMoveIsForwardedAfterPromotion) {
+  int64_t now = 1;
+  constexpr int64_t kTtl = 1000;
+  SnvsHaOptions options;
+  options.lease_ttl_nanos = kTtl;
+  options.clock = [&now] { return now; };
+  auto built = BuildSnvsHaPair(options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  SnvsHaPair& pair = **built;
+  ASSERT_EQ(pair.Tick(), 0);
+  for (int64_t port = 1; port <= 3; ++port) {
+    ASSERT_TRUE(
+        pair.AddPort("p" + std::to_string(port), port, "access", 10).ok());
+  }
+  ASSERT_TRUE(pair.InjectPacket(0, 1, FrameFrom(0xAA)).ok());
+  ASSERT_TRUE(pair.Checkpoint().ok());
+  ASSERT_TRUE(pair.SyncStandby().ok());
+
+  now += 2 * kTtl;
+  ASSERT_EQ(pair.Tick(), 1);
+  EXPECT_EQ(LearnedPort(pair.device(0), 0xAA), 1u);
+  // The new leader drains the move's digest; its learn replaces the row
+  // the checkpoint carried over.
+  ASSERT_TRUE(pair.InjectPacket(0, 3, FrameFrom(0xAA)).ok());
+  ASSERT_TRUE(pair.controller(1).last_error().ok());
+  EXPECT_EQ(LearnedPort(pair.device(0), 0xAA), 3u);
+  EXPECT_EQ(pair.controller(1).engine().Size("MacLearn"), 1u);
+  auto out = pair.InjectPacket(
+      0, 2,
+      net::MakeEthernetFrame(Mac(0, 0, 0, 0, 0, 0xAA),
+                             Mac(0, 0, 0, 0, 0, 0xBB), 0x0800, {1, 2, 3}));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), 1u);
+  EXPECT_EQ((*out)[0].port, 3u);
 }
 
 TEST(HaFailover, ZombieLeaderIsFencedAtTheSwitchAndSelfDemotes) {

@@ -15,9 +15,7 @@ namespace {
 class BindingsTest : public ::testing::Test {
  protected:
   BindingsTest() : schema_(snvs::SnvsSchema()), p4_(snvs::SnvsP4Program()) {
-    BindingOptions options;
-    options.with_digest_seq = true;
-    auto bindings = GenerateBindings(schema_, *p4_, options);
+    auto bindings = GenerateBindings(schema_, *p4_);
     EXPECT_TRUE(bindings.ok()) << bindings.status().ToString();
     bindings_ = std::move(bindings).value();
   }
@@ -54,11 +52,40 @@ TEST_F(BindingsTest, DigestShape) {
   const dlog::RelationDecl* learn = FindDecl("MacLearn");
   ASSERT_NE(learn, nullptr);
   EXPECT_EQ(learn->role, dlog::RelationRole::kInput);
-  ASSERT_EQ(learn->columns.size(), 4u);
+  ASSERT_EQ(learn->columns.size(), 3u);
   EXPECT_EQ(learn->columns[0].name, "standard_ingress_port");
   EXPECT_EQ(learn->columns[0].type, dlog::Type::Bit(16));
   EXPECT_EQ(learn->columns[2].type, dlog::Type::Bit(48));
-  EXPECT_EQ(learn->columns[3].name, "seq");  // with_digest_seq
+}
+
+TEST_F(BindingsTest, MulticastRelationGeneratedIffProgramMulticasts) {
+  // snvs floods through `multicast(group)`.
+  EXPECT_EQ(bindings_.multicast_relation, "MulticastGroup");
+  const dlog::RelationDecl* group = FindDecl("MulticastGroup");
+  ASSERT_NE(group, nullptr);
+  EXPECT_EQ(group->ToString(),
+            "output relation MulticastGroup(group: bit<16>, port: bit<16>)");
+  BindingOptions routed;
+  routed.with_device_column = true;
+  auto with_device = GenerateBindings(schema_, *p4_, routed);
+  ASSERT_TRUE(with_device.ok()) << with_device.status().ToString();
+  EXPECT_EQ(with_device->outputs.back().ToString(),
+            "output relation MulticastGroup(device: string, group: bit<16>, "
+            "port: bit<16>)");
+
+  // Without a multicast op nothing is generated.
+  p4::P4Program program = *p4_;
+  for (p4::Action& action : program.actions) {
+    if (action.name == "Flood") action.ops = {p4::ActionOp::Drop()};
+  }
+  ASSERT_TRUE(program.Validate().ok());
+  auto unicast = GenerateBindings(schema_, program);
+  ASSERT_TRUE(unicast.ok()) << unicast.status().ToString();
+  EXPECT_EQ(unicast->multicast_relation, "");
+  for (const dlog::RelationDecl& decl : unicast->outputs) {
+    EXPECT_NE(decl.name, "MulticastGroup");
+  }
+  EXPECT_EQ(unicast->outputs.size(), bindings_.outputs.size() - 1);
 }
 
 TEST_F(BindingsTest, TableOutputShape) {
@@ -190,14 +217,14 @@ TEST_F(BindingsTest, EntryConversionRejectsUnknownAction) {
   EXPECT_FALSE(DlogRowToEntry(*binding, *p4_, row).ok());
 }
 
-TEST_F(BindingsTest, DigestConversionAppendsSeq) {
+TEST_F(BindingsTest, DigestConversionCopiesFields) {
   const DigestBinding* binding = bindings_.FindDigest("MacLearn");
   ASSERT_NE(binding, nullptr);
   p4::DigestMessage message{"MacLearn", {1, 10, 0xFF}};
   dlog::Row row = DigestToDlog(*binding, message, "sw0", 42);
-  ASSERT_EQ(row.size(), 4u);
+  ASSERT_EQ(row.size(), 3u);
   EXPECT_EQ(row[0], dlog::Value::Bit(1));
-  EXPECT_EQ(row[3], dlog::Value::Int(42));
+  EXPECT_EQ(row[2], dlog::Value::Bit(0xFF));
 }
 
 TEST_F(BindingsTest, RealColumnsRejected) {
@@ -230,33 +257,12 @@ TEST_F(BindingsTest, ConflictingParamWidthsRejected) {
 TEST(ControllerGuards, StartRequiresTypeCheck) {
   ovsdb::Database db(snvs::SnvsSchema());
   auto p4 = snvs::SnvsP4Program();
-  BindingOptions options;
-  options.with_digest_seq = true;
-  auto bindings = GenerateBindings(db.schema(), *p4, options);
+  auto bindings = GenerateBindings(db.schema(), *p4);
   ASSERT_TRUE(bindings.ok());
   // A program missing all generated relations.
   auto program = dlog::Program::Parse("relation X(a: bigint)");
   ASSERT_TRUE(program.ok());
   Controller controller(&db, *program, p4, *bindings);
-  p4::Switch device(p4);
-  p4::RuntimeClient client(&device);
-  ASSERT_TRUE(controller.AddDevice("sw0", &client).ok());
-  EXPECT_FALSE(controller.Start().ok());
-}
-
-TEST(ControllerGuards, MulticastRelationShapeChecked) {
-  ovsdb::Database db(snvs::SnvsSchema());
-  auto p4 = snvs::SnvsP4Program();
-  BindingOptions options;
-  options.with_digest_seq = true;
-  auto bindings = GenerateBindings(db.schema(), *p4, options);
-  ASSERT_TRUE(bindings.ok());
-  std::string source = bindings->DeclsText() + snvs::SnvsRules();
-  auto program = dlog::Program::Parse(source);
-  ASSERT_TRUE(program.ok());
-  Controller::Options bad_options;
-  bad_options.multicast_relation = "Dmac";  // wrong shape (4 columns)
-  Controller controller(&db, *program, p4, *bindings, bad_options);
   p4::Switch device(p4);
   p4::RuntimeClient client(&device);
   ASSERT_TRUE(controller.AddDevice("sw0", &client).ok());

@@ -137,7 +137,7 @@ Result<std::pair<std::string, Row>> ParseAtomCommand(
 
 /// Prints the compiled plan: each stratum in evaluation order, then each
 /// arrangement with its key columns, what its upkeep records, and the
-/// plans that read it.
+/// input key or plans that read it.
 void PrintPlan(const Program& program) {
   for (size_t s = 0; s < program.strata().size(); ++s) {
     const Stratum& stratum = program.strata()[s];
@@ -150,6 +150,13 @@ void PrintPlan(const Program& program) {
   }
   // (relation, arrangement) -> one line per reader.
   std::map<std::pair<int, int>, std::vector<std::string>> readers;
+  for (size_t rel = 0; rel < program.relations().size(); ++rel) {
+    int key = program.key_arrangement(static_cast<int>(rel));
+    if (key >= 0) {
+      readers[{static_cast<int>(rel), key}].push_back(
+          "input key: an insert finds the row it replaces");
+    }
+  }
   for (const CompiledRule& rule : program.rules()) {
     auto read = [&](int rel, int arrangement, const std::string& kind) {
       if (arrangement < 0) return;

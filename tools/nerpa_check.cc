@@ -206,7 +206,6 @@ int main(int argc, char** argv) {
     p4_source = stack->p4_source;
     input.rules = stack->rules;
     input.binding_options = stack->options;
-    options.multicast_relations = stack->multicast_relations;
     options.rules_include_decls = input.schema == nullptr && p4 == nullptr;
     dlog_name = args.builtin + ".dl";
     p4_name = args.builtin + ".p4";
