@@ -13,6 +13,7 @@
 //
 // Results are printed as tables and written to BENCH_recovery.json for
 // machine consumption.
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -82,7 +83,8 @@ Result<Json> ColdRestore() {
     NERPA_ASSIGN_OR_RETURN(auto stack, snvs::BuildSnvsStack(options));
     double stack_seconds = stack_watch.ElapsedSeconds();
 
-    table.AddRow({StrFormat("%d", ports), StrFormat("%lld", snapshot_bytes),
+    table.AddRow({StrFormat("%d", ports),
+                  StrFormat("%" PRId64, snapshot_bytes),
                   bench::Ms(db_seconds), bench::Ms(stack_seconds)});
     rows.push_back(Json(Json::Object{
         {"ports", Json(ports)},
@@ -142,8 +144,8 @@ Result<Json> Reconciliation() {
     uint64_t repair_writes = client->write_count() - writes_before;
     const auto& stats = stack->controller().stats();
     table.AddRow({StrFormat("%.0f%%", fraction * 100),
-                  StrFormat("%lld", lost),
-                  StrFormat("%llu", repair_writes), bench::Ms(seconds)});
+                  StrFormat("%" PRId64, lost),
+                  StrFormat("%" PRIu64, repair_writes), bench::Ms(seconds)});
     rows.push_back(Json(Json::Object{
         {"divergence_fraction", Json(fraction)},
         {"entries_lost", Json(lost)},

@@ -21,7 +21,9 @@ run_suite() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
 }
 
-run_suite build-ci
+# -Werror=format: a format string that does not match its arguments fails
+# the plain build.
+run_suite build-ci -DCMAKE_CXX_FLAGS=-Werror=format
 
 # Static analysis gates, both layers:
 #   * nerpa_check: the full-stack analyzer must pass clean over every stack

@@ -14,11 +14,14 @@ head side is the working tree as it is, uncommitted changes included, built
 into .bench_build as run.py does by default.
 
 One pair per seed; the side that runs first alternates from pair to pair.
-For every end-to-end metric BENCHMARK.json declares, the script prints each
-side's median and quartiles and how many pairs the head won, then every
-run's `correct` and `failed`.  It exits 1 if any run was incorrect or did not
-produce a result line, and 0 otherwise.  It reads perfbench/ and never
-changes it.
+Each run's stdout is saved as --workdir/runs/<workload>-<seed>-<side>.txt,
+and after its result the script prints the run's raw (unscaled) p50 lines
+and its `reference:` line, which tell a slower program from a reference
+routine that moved.  For every end-to-end metric BENCHMARK.json declares,
+the script then prints each side's median and quartiles and how many pairs
+the head won, then every run's `correct` and `failed`.  It exits 1 if any
+run was incorrect or did not produce a result line, and 0 otherwise.  It
+reads perfbench/ and never changes it.
 """
 
 import argparse
@@ -62,8 +65,9 @@ def export(rev, workdir):
     return tree
 
 
-def run(tree, target, workload, seed, seconds):
-    """One untraced run; returns the result line's object, or None."""
+def run(tree, target, workload, seed, seconds, log):
+    """One untraced run, its stdout saved to `log`; returns the result
+    line's object (None if there is none) and the raw p50 lines."""
     env = dict(os.environ)
     if target is not None:
         env["CARGO_TARGET_DIR"] = target
@@ -71,12 +75,15 @@ def run(tree, target, workload, seed, seconds):
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True, check=False)
+    with open(log, "w") as handle:
+        handle.write(result.stdout)
     lines = result.stdout.strip().splitlines()
+    raw = [line for line in lines[:-1] if "p50" in line]
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), raw
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(result.stderr[-2000:])
-        return None
+        return None, raw
 
 
 def quartiles(values):
@@ -110,18 +117,24 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         metrics = json.load(handle)["end_to_end"]
 
+    logs = os.path.join(workdir, "runs")
+    os.makedirs(logs, exist_ok=True)
     runs = {"base": [], "head": []}
     for index, seed in enumerate(parse_seeds(args.seeds)):
         order = ("base", "head") if index % 2 == 0 else ("head", "base")
         for side in order:
             tree, target = sides[side]
-            result = run(tree, target, args.workload, seed, args.seconds)
+            log = os.path.join(logs, f"{args.workload}-{seed}-{side}.txt")
+            result, raw = run(tree, target, args.workload, seed,
+                              args.seconds, log)
             runs[side].append((seed, result))
             print(f"seed {seed} {side}: " +
                   ("no result" if result is None else json.dumps(
                       {name: round(value["value"], 4)
                        for name, value in result["metrics"].items()})),
                   flush=True)
+            for line in raw:
+                print(f"  {side} {line}", flush=True)
 
     complete = [i for i in range(len(runs["base"]))
                 if runs["base"][i][1] is not None
