@@ -187,7 +187,7 @@ inline size_t HashValueRange(const Value* data, size_t size) {
 /// z-set and arrangement probes hash each row at most once per mutation.
 /// Values are trivially copyable, so Row keeps up to kInline of them in a
 /// small inline buffer: typical rows copy by memcpy with no heap traffic,
-/// and hash-map nodes keyed by Row hold their values in the node itself.
+/// and a z-set's dense entry array holds their values in place.
 class Row {
  public:
   using const_iterator = const Value*;

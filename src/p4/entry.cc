@@ -145,11 +145,11 @@ TableState::TableState(const Table* schema)
           schema->keys.begin(), schema->keys.end(),
           [](const TableKey& key) { return key.kind == MatchKind::kExact; })),
       ranked_(TakesPriority(*schema)),
-      width_(ranked_ ? 1 : 0),
-      slots_(8, 0) {
+      width_(ranked_ ? 1 : 0) {
   for (const TableKey& key : schema->keys) {
     width_ += key.kind == MatchKind::kExact ? 1 : 2;
   }
+  index_.Reserve(0, 0, [](size_t) { return uint64_t{0}; });
 }
 
 bool TableState::PackKey(const TableEntry& entry, uint64_t* hash) {
@@ -165,22 +165,17 @@ bool TableState::PackKey(const TableEntry& entry, uint64_t* hash) {
 }
 
 size_t TableState::Probe(const uint64_t* key, uint64_t hash) const {
-  const size_t mask = slots_.size() - 1;
-  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
-    int64_t at = At(slot);
-    if (at < 0 || (hashes_[at] == hash &&
-                   std::equal(key, key + width_,
-                              keys_.begin() + at * width_))) {
-      return slot;
-    }
-  }
+  return index_.Probe(hash, [&](size_t at) {
+    return hashes_[at] == hash &&
+           std::equal(key, key + width_, keys_.begin() + at * width_);
+  });
 }
 
 int64_t TableState::Find(const TableEntry& entry, size_t* slot) {
   uint64_t hash = 0;
   if (!PackKey(entry, &hash)) return -1;
   *slot = Probe(key_.data(), hash);
-  return At(*slot);
+  return index_.At(*slot);
 }
 
 int TableState::ResolveAction(const TableEntry& entry) const {
@@ -189,17 +184,6 @@ int TableState::ResolveAction(const TableEntry& entry) const {
     if (schema_->actions[i] == entry.action) return indices[i];
   }
   return -1;
-}
-
-void TableState::Grow() {
-  std::vector<uint32_t> slots(2 * slots_.size(), 0);
-  const size_t mask = slots.size() - 1;
-  for (size_t at = 0; at < entries_.size(); ++at) {
-    size_t slot = hashes_[at] & mask;
-    while (slots[slot] != 0) slot = (slot + 1) & mask;
-    slots[slot] = static_cast<uint32_t>(at + 1);
-  }
-  slots_.swap(slots);
 }
 
 Status TableState::Insert(TableEntry entry) {
@@ -216,13 +200,14 @@ Status TableState::Insert(TableEntry entry) {
         "table '%s' has %zu keys, entry supplies %zu", schema_->name.c_str(),
         schema_->keys.size(), entry.match.size()));
   }
-  if (2 * (entries_.size() + 1) > slots_.size()) Grow();
+  index_.Reserve(entries_.size() + 1, entries_.size(),
+                 [&](size_t at) { return hashes_[at]; });
   size_t slot = Probe(key_.data(), hash);
-  if (slots_[slot] != 0) {
+  if (index_.At(slot) >= 0) {
     return AlreadyExists("entry already exists in table '" + schema_->name +
                          "': " + entry.ToString());
   }
-  slots_[slot] = static_cast<uint32_t>(entries_.size() + 1);
+  index_.Set(slot, entries_.size());
   keys_.insert(keys_.end(), key_.begin(), key_.end());
   hashes_.push_back(hash);
   actions_.push_back(ResolveAction(entry));
@@ -244,30 +229,17 @@ Status TableState::Modify(const TableEntry& entry) {
 }
 
 Status TableState::Remove(const TableEntry& entry) {
-  size_t hole = 0;
-  int64_t at = Find(entry, &hole);
+  size_t slot = 0;
+  int64_t at = Find(entry, &slot);
   if (at < 0) {
     return NotFound("no such entry in table '" + schema_->name + "': " +
                     entry.ToString());
   }
-  // Backward-shift deletion: pull each later entry of the probe run into
-  // the hole unless its home slot lies after the hole.
-  const size_t mask = slots_.size() - 1;
-  for (size_t next = (hole + 1) & mask; slots_[next] != 0;
-       next = (next + 1) & mask) {
-    size_t home = hashes_[At(next)] & mask;
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      slots_[hole] = slots_[next];
-      hole = next;
-    }
-  }
-  slots_[hole] = 0;
-  // Move the last entry into the freed position, repointing its slot.
+  index_.Remove(slot, entries_.size(),
+                [&](size_t i) { return hashes_[i]; });
+  // Move the last entry into the freed position.
   const size_t last = entries_.size() - 1;
   if (static_cast<size_t>(at) != last) {
-    size_t slot = hashes_[last] & mask;
-    while (At(slot) != static_cast<int64_t>(last)) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<uint32_t>(at + 1);
     entries_[at] = std::move(entries_[last]);
     std::copy_n(keys_.begin() + last * width_, width_,
                 keys_.begin() + at * width_);
@@ -286,8 +258,8 @@ const TableEntry* TableState::Lookup(
   const TableEntry* best = nullptr;
   if (all_exact_) {
     if (key_fields.size() == width_) {
-      int64_t at = At(Probe(key_fields.data(),
-                            HashWords(key_fields.data(), width_)));
+      int64_t at = index_.At(Probe(key_fields.data(),
+                                   HashWords(key_fields.data(), width_)));
       if (at >= 0) best = &entries_[at];
     }
   } else {

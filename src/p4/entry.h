@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "common/status.h"
 #include "p4/ir.h"
 
@@ -67,10 +68,10 @@ bool TakesPriority(const Table& table);
 /// The runtime contents of one table, kept flat: the entries in one dense
 /// array (a removal moves the last entry into the hole), every entry's
 /// MatchKey words packed into a second array at a fixed width per table,
-/// and an open-addressing hash index over them, so a write allocates no
-/// node or key.  An all-exact table answers a lookup with one probe of the
-/// index; other tables scan the entries, preferring the longest LPM
-/// prefix, then the highest priority.
+/// and the shared open-addressing index (common/flat_index.h) over them,
+/// so a write allocates no node or key.  An all-exact table answers a
+/// lookup with one probe of the index; other tables scan the entries,
+/// preferring the longest LPM prefix, then the highest priority.
 class TableState {
  public:
   explicit TableState(const Table* schema);
@@ -113,16 +114,10 @@ class TableState {
   /// The index slot holding the entry whose key is `key`, or the empty
   /// slot where it would go.
   size_t Probe(const uint64_t* key, uint64_t hash) const;
-  /// The entry held at index slot `slot`, or -1 when the slot is empty.
-  int64_t At(size_t slot) const {
-    return static_cast<int64_t>(slots_[slot]) - 1;
-  }
   /// The entry with `entry`'s key, or -1; `*slot` is its index slot.
   int64_t Find(const TableEntry& entry, size_t* slot);
   /// The program's index of `entry`'s action (see ActionIndex).
   int ResolveAction(const TableEntry& entry) const;
-  /// Doubles the index.
-  void Grow();
 
   const Table* schema_;
   bool all_exact_;
@@ -133,9 +128,7 @@ class TableState {
   std::vector<uint64_t> keys_;
   std::vector<uint64_t> hashes_;
   std::vector<int32_t> actions_;
-  // Open addressing with linear probing: entry index + 1, 0 = empty.  Its
-  // size is a power of two at least twice the entry count.
-  std::vector<uint32_t> slots_;
+  FlatIndex index_;  // over keys_, by hashes_
   std::vector<uint64_t> key_;  // PackKey's buffer, reused across writes
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;

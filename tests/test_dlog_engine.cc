@@ -1,9 +1,11 @@
 // Core behaviour of the incremental Datalog engine: joins, negation,
 // aggregation, recursion, and — most importantly — the equivalence between
-// incremental evaluation and from-scratch recomputation.
+// incremental evaluation and from-scratch recomputation.  Also the flat
+// z-set the engine keeps its counts and deltas in, against a node map.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <unordered_map>
 
 #include "dlog/engine.h"
 #include "dlog/program.h"
@@ -501,6 +503,105 @@ TEST(DlogCompile, RejectsRuleForInputRelation) {
     A(x) :- B(x).
   )");
   EXPECT_FALSE(program.ok());
+}
+
+// ---------------------------------------------------------------------------
+// ZSet, the flat row -> weight map, against std::unordered_map.
+// ---------------------------------------------------------------------------
+
+/// `count` rows whose hashes agree in their low 10 bits on 1020..1023, so
+/// at every slot count up to 1024 their homes are the last four slots:
+/// probe runs wrap past the end of the slot array, and backward-shift
+/// deletion moves entries across the wrap.
+std::vector<Row> RowsHomedAtTheEnd(size_t count) {
+  std::vector<Row> rows;
+  for (int64_t i = 0; rows.size() < count; ++i) {
+    Row row = R({I(i), S("wrap")});
+    if ((row.Hash() & 1023) >= 1020) rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST(FlatZSet, MatchesUnorderedMapUnderCollidingHashes) {
+  std::vector<Row> pool = RowsHomedAtTheEnd(96);
+  for (int64_t i = 0; i < 32; ++i) pool.push_back(R({I(-i)}));
+  ZSet zset;
+  std::unordered_map<Row, int64_t, RowHash, RowEq> model;
+  std::mt19937_64 rng(24);
+  for (int op = 0; op < 20000; ++op) {
+    const Row& row = pool[rng() % pool.size()];
+    int64_t weight = static_cast<int64_t>(rng() % 7) - 3;
+    switch (rng() % 64) {
+      case 0:
+        zset.clear();
+        model.clear();
+        break;
+      case 1: case 2: case 3: case 4: case 5: case 6: case 7: case 8:
+      case 9: case 10: case 11: case 12: case 13: case 14: case 15: {
+        auto [it, inserted] = zset.try_emplace(row, weight);
+        auto [mit, minserted] = model.try_emplace(row, weight);
+        ASSERT_EQ(inserted, minserted) << "op " << op;
+        ASSERT_EQ(it->first, row);
+        ASSERT_EQ(it->second, mit->second);
+        break;
+      }
+      case 16: case 17: case 18: case 19: case 20: case 21: case 22:
+      case 23: case 24: case 25: case 26: case 27: case 28: case 29:
+        ASSERT_EQ(zset[row] += weight, model[row] += weight) << "op " << op;
+        break;
+      case 30: case 31: case 32: case 33: case 34: case 35: case 36:
+      case 37: case 38: case 39: case 40: case 41: case 42: case 43:
+      case 44: case 45: case 46:
+        ASSERT_EQ(zset.erase(row), model.erase(row)) << "op " << op;
+        break;
+      default: {
+        // Erase through an iterator found by a borrowed key.
+        auto it = zset.find(row.span());
+        ASSERT_EQ(it == zset.end(), model.count(row) == 0) << "op " << op;
+        if (it != zset.end()) {
+          zset.erase(it);
+          model.erase(row);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(zset.size(), model.size()) << "op " << op;
+    // Iteration visits every live row exactly once, with its weight.
+    std::unordered_map<Row, int64_t, RowHash, RowEq> seen;
+    for (const auto& [r, w] : zset) {
+      ASSERT_TRUE(seen.emplace(r, w).second) << "op " << op << ": twice";
+    }
+    ASSERT_EQ(seen, model) << "op " << op;
+    for (const Row& probe : pool) {
+      auto it = zset.find(probe);
+      ASSERT_EQ(it == zset.end(), model.count(probe) == 0) << "op " << op;
+      ASSERT_EQ(zset.count(probe), model.count(probe)) << "op " << op;
+    }
+  }
+}
+
+TEST(FlatZSet, ClearReleasesOnlyCapacityFarAboveTheSizeCleared) {
+  ZSet zset;
+  EXPECT_EQ(zset.slot_count(), 0u);  // nothing allocated until an insert
+  for (int64_t i = 0; i < 10000; ++i) zset[R({I(i)})] = i + 1;
+  ASSERT_EQ(zset.slot_count(), 32768u);  // a power of two >= 2 x 10,000
+  // 32,768 slots are not more than 64 + 8 x 10,000: all of them stay, and
+  // a refill of the same size does not rehash.
+  zset.clear();
+  EXPECT_TRUE(zset.empty());
+  EXPECT_EQ(zset.slot_count(), 32768u);
+  for (int64_t i = 0; i < 10000; ++i) zset[R({I(i)})] = 1;
+  EXPECT_EQ(zset.slot_count(), 32768u);
+  // Cleared at 100 rows, 32,768 > 64 + 8 x 100: the map keeps room for
+  // 200 rows only, i.e. 512 slots.
+  for (int64_t i = 100; i < 10000; ++i) ASSERT_EQ(zset.erase(R({I(i)})), 1u);
+  zset.clear();
+  EXPECT_EQ(zset.slot_count(), 512u);
+  // Cleared empty, it releases everything.
+  zset.clear();
+  EXPECT_EQ(zset.slot_count(), 0u);
+  EXPECT_EQ(zset.find(R({I(1)})), zset.end());
+  EXPECT_EQ(zset.erase(R({I(1)})), 0u);
 }
 
 }  // namespace

@@ -444,9 +444,10 @@ TEST(DlogEdge, BigintOverflowWraps) {
 }
 
 /// Holds an engine in a function-local static that is filled on first use,
-/// commits rows into it and exits.  The static is constructed before the
-/// arena's slab registry, so static destruction reaches it last; its nodes
-/// live in the registry's slabs.
+/// commits rows into it and exits.  The static is constructed before any
+/// function-local static the engine first uses, so it is destroyed after
+/// them: tearing down its z-sets and indexes must need none of them (the
+/// intern pool is leaked for this reason).
 [[noreturn]] void BuildStaticEngineAndExit() {
   static std::unique_ptr<Engine> engine;
   engine = std::make_unique<Engine>(MustParse(R"(
