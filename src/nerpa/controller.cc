@@ -729,15 +729,15 @@ Status Controller::ApplyMulticastDelta(const dlog::SetDelta& delta,
     uint32_t group = static_cast<uint32_t>(row[base].as_bit());
     uint64_t port = row[base + 1].as_bit();
     auto key = std::make_pair(device, group);
+    // Kept sorted and unique: ResyncDeviceImpl compares the list with a
+    // device's sorted group.
     auto& members = multicast_members_[key];
-    if (direction > 0) {
-      if (std::find(members.begin(), members.end(), port) == members.end()) {
-        members.push_back(port);
-        std::sort(members.begin(), members.end());
-      }
-    } else {
-      members.erase(std::remove(members.begin(), members.end(), port),
-                    members.end());
+    auto at = std::lower_bound(members.begin(), members.end(), port);
+    bool present = at != members.end() && *at == port;
+    if (direction > 0 && !present) {
+      members.insert(at, port);
+    } else if (direction < 0 && present) {
+      members.erase(at);
     }
     dirty.insert(key);
   }
