@@ -7,11 +7,6 @@
 namespace nerpa::snvs {
 
 namespace {
-/// DurableStore sidecar name for engine checkpoints (same sidecar the
-/// single-controller SnvsStack writes, so a pair can adopt a stack's
-/// state directory and vice versa).
-constexpr const char* kEngineCheckpointName = "controller";
-
 /// Watchdog subsystem name for the shared durable store's WAL.
 constexpr const char* kWalSubsystem = "snvs.wal";
 }  // namespace
@@ -228,64 +223,12 @@ Status SnvsHaPair::RestartReplica(size_t replica) {
   return BuildReplica(replica, last_engine_checkpoint_);
 }
 
-Status SnvsHaPair::AnyControllerError() const {
+Status SnvsHaPair::ControllerError() const {
   for (const Replica& replica : replicas_) {
     if (replica.controller == nullptr) continue;
     NERPA_RETURN_IF_ERROR(replica.controller->last_error());
   }
   return Status::Ok();
-}
-
-Result<ovsdb::Uuid> SnvsHaPair::AddPort(const std::string& name, int64_t port,
-                                        const std::string& vlan_mode,
-                                        int64_t tag,
-                                        const std::vector<int64_t>& trunks) {
-  ovsdb::TxnBuilder txn(db_raw_);
-  std::vector<ovsdb::Atom> trunk_atoms;
-  for (int64_t vlan : trunks) trunk_atoms.emplace_back(vlan);
-  txn.Insert("Port", {
-                         {"name", ovsdb::Datum::String(name)},
-                         {"port", ovsdb::Datum::Integer(port)},
-                         {"vlan_mode", ovsdb::Datum::String(vlan_mode)},
-                         {"tag", ovsdb::Datum::Integer(tag)},
-                         {"trunks", ovsdb::Datum::Set(std::move(trunk_atoms))},
-                     });
-  NERPA_ASSIGN_OR_RETURN(std::vector<ovsdb::Uuid> inserted, txn.Commit());
-  NERPA_RETURN_IF_ERROR(AnyControllerError());
-  return inserted.at(0);
-}
-
-Status SnvsHaPair::DeletePort(const std::string& name) {
-  ovsdb::TxnBuilder txn(db_raw_);
-  txn.Delete("Port", {{"name", "==", ovsdb::Datum::String(name)}});
-  NERPA_RETURN_IF_ERROR(txn.Commit().status());
-  return AnyControllerError();
-}
-
-Result<ovsdb::Uuid> SnvsHaPair::AddMirror(const std::string& name,
-                                          int64_t src_port, int64_t out_port) {
-  ovsdb::TxnBuilder txn(db_raw_);
-  txn.Insert("Mirror", {
-                           {"name", ovsdb::Datum::String(name)},
-                           {"src_port", ovsdb::Datum::Integer(src_port)},
-                           {"out_port", ovsdb::Datum::Integer(out_port)},
-                       });
-  NERPA_ASSIGN_OR_RETURN(std::vector<ovsdb::Uuid> inserted, txn.Commit());
-  NERPA_RETURN_IF_ERROR(AnyControllerError());
-  return inserted.at(0);
-}
-
-Result<ovsdb::Uuid> SnvsHaPair::AddAclRule(int64_t mac, int64_t vlan,
-                                           bool allow) {
-  ovsdb::TxnBuilder txn(db_raw_);
-  txn.Insert("AclRule", {
-                            {"mac", ovsdb::Datum::Integer(mac)},
-                            {"vlan", ovsdb::Datum::Integer(vlan)},
-                            {"allow", ovsdb::Datum::Boolean(allow)},
-                        });
-  NERPA_ASSIGN_OR_RETURN(std::vector<ovsdb::Uuid> inserted, txn.Commit());
-  NERPA_RETURN_IF_ERROR(AnyControllerError());
-  return inserted.at(0);
 }
 
 Result<std::vector<p4::PacketOut>> SnvsHaPair::InjectPacket(

@@ -79,11 +79,10 @@ struct SnvsHaOptions {
 };
 
 /// A dual-controller snvs deployment (replica 0 and replica 1).
-class SnvsHaPair {
+class SnvsHaPair : public SnvsManagement {
  public:
   static constexpr size_t kReplicas = 2;
 
-  ovsdb::Database& db() { return *db_raw_; }
   ha::DurableStore* store() { return store_.get(); }
   p4::Switch& device(size_t index = 0) { return *switches_[index]; }
   size_t device_count() const { return switches_.size(); }
@@ -131,17 +130,6 @@ class SnvsHaPair {
   /// started from the last checkpoint blob when one exists.
   Status RestartReplica(size_t replica);
 
-  // --- Management-plane helpers (shared database; any replica's client
-  // may commit — the control planes react through their monitors). ---
-
-  Result<ovsdb::Uuid> AddPort(const std::string& name, int64_t port,
-                              const std::string& vlan_mode, int64_t tag,
-                              const std::vector<int64_t>& trunks = {});
-  Status DeletePort(const std::string& name);
-  Result<ovsdb::Uuid> AddMirror(const std::string& name, int64_t src_port,
-                                int64_t out_port);
-  Result<ovsdb::Uuid> AddAclRule(int64_t mac, int64_t vlan, bool allow);
-
   /// Injects a packet on `device`/`port`, then pumps the digest feedback
   /// loop through the current leader (digests queue in the switch when no
   /// replica leads — the next leader drains them).
@@ -168,12 +156,11 @@ class SnvsHaPair {
 
   /// First error recorded by any replica's controller (both react to
   /// every management-plane commit).
-  Status AnyControllerError() const;
+  Status ControllerError() const override;
 
   SnvsHaOptions options_;
   std::unique_ptr<ha::DurableStore> store_;  // owns db when durable
   std::unique_ptr<ovsdb::Database> db_;      // owns db when not durable
-  ovsdb::Database* db_raw_ = nullptr;
   std::shared_ptr<const p4::P4Program> p4_;
   std::vector<std::unique_ptr<p4::Switch>> switches_;  // shared data plane
   Bindings bindings_;

@@ -9,11 +9,6 @@
 
 namespace nerpa::snvs {
 
-namespace {
-/// DurableStore sidecar name for the controller's engine checkpoint.
-constexpr const char* kEngineCheckpointName = "controller";
-}  // namespace
-
 ovsdb::DatabaseSchema SnvsSchema() {
   using ovsdb::BaseType;
   using ovsdb::ColumnType;
@@ -356,10 +351,9 @@ Status SnvsStack::Checkpoint() {
   return store_->WriteEngineCheckpoint(kEngineCheckpointName, blob);
 }
 
-Result<ovsdb::Uuid> SnvsStack::AddPort(const std::string& name, int64_t port,
-                                       const std::string& vlan_mode,
-                                       int64_t tag,
-                                       const std::vector<int64_t>& trunks) {
+Result<ovsdb::Uuid> SnvsManagement::AddPort(
+    const std::string& name, int64_t port, const std::string& vlan_mode,
+    int64_t tag, const std::vector<int64_t>& trunks) {
   ovsdb::TxnBuilder txn(db_raw_);
   std::vector<ovsdb::Atom> trunk_atoms;
   for (int64_t vlan : trunks) trunk_atoms.emplace_back(vlan);
@@ -370,41 +364,42 @@ Result<ovsdb::Uuid> SnvsStack::AddPort(const std::string& name, int64_t port,
                          {"tag", ovsdb::Datum::Integer(tag)},
                          {"trunks", ovsdb::Datum::Set(std::move(trunk_atoms))},
                      });
-  NERPA_ASSIGN_OR_RETURN(std::vector<ovsdb::Uuid> inserted, txn.Commit());
-  NERPA_RETURN_IF_ERROR(controller_->last_error());
-  return inserted.at(0);
+  return CommitInsert(txn);
 }
 
-Status SnvsStack::DeletePort(const std::string& name) {
+Status SnvsManagement::DeletePort(const std::string& name) {
   ovsdb::TxnBuilder txn(db_raw_);
   txn.Delete("Port", {{"name", "==", ovsdb::Datum::String(name)}});
   NERPA_RETURN_IF_ERROR(txn.Commit().status());
-  return controller_->last_error();
+  return ControllerError();
 }
 
-Result<ovsdb::Uuid> SnvsStack::AddMirror(const std::string& name,
-                                         int64_t src_port, int64_t out_port) {
+Result<ovsdb::Uuid> SnvsManagement::AddMirror(const std::string& name,
+                                              int64_t src_port,
+                                              int64_t out_port) {
   ovsdb::TxnBuilder txn(db_raw_);
   txn.Insert("Mirror", {
                            {"name", ovsdb::Datum::String(name)},
                            {"src_port", ovsdb::Datum::Integer(src_port)},
                            {"out_port", ovsdb::Datum::Integer(out_port)},
                        });
-  NERPA_ASSIGN_OR_RETURN(std::vector<ovsdb::Uuid> inserted, txn.Commit());
-  NERPA_RETURN_IF_ERROR(controller_->last_error());
-  return inserted.at(0);
+  return CommitInsert(txn);
 }
 
-Result<ovsdb::Uuid> SnvsStack::AddAclRule(int64_t mac, int64_t vlan,
-                                          bool allow) {
+Result<ovsdb::Uuid> SnvsManagement::AddAclRule(int64_t mac, int64_t vlan,
+                                               bool allow) {
   ovsdb::TxnBuilder txn(db_raw_);
   txn.Insert("AclRule", {
                             {"mac", ovsdb::Datum::Integer(mac)},
                             {"vlan", ovsdb::Datum::Integer(vlan)},
                             {"allow", ovsdb::Datum::Boolean(allow)},
                         });
+  return CommitInsert(txn);
+}
+
+Result<ovsdb::Uuid> SnvsManagement::CommitInsert(ovsdb::TxnBuilder& txn) {
   NERPA_ASSIGN_OR_RETURN(std::vector<ovsdb::Uuid> inserted, txn.Commit());
-  NERPA_RETURN_IF_ERROR(controller_->last_error());
+  NERPA_RETURN_IF_ERROR(ControllerError());
   return inserted.at(0);
 }
 
