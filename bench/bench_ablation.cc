@@ -7,7 +7,8 @@
 // E5's load-balancer worst case charges against the engine.  This bench
 // quantifies both sides of the trade on a join whose inner relation grows:
 // per-change latency with arrangements on vs. off, plus the index entries
-// carried.
+// carried.  Both variants must derive the same J; the bench exits 1 when
+// they do not (it is the Release run of the scan joins).
 #include "bench/bench_util.h"
 #include "dlog/engine.h"
 
@@ -28,10 +29,15 @@ output relation J(a: bigint, c: bigint)
 J(a, c) :- E(a, b), F(b, c).
 )";
 
+struct Variant {
+  double mean_seconds;             // per transaction
+  size_t arrangement_entries;
+  std::vector<Row> joined;         // J after the inserts
+};
+
 /// Mean per-transaction time for 100 single-row E inserts against a
 /// preloaded F of `f_rows` rows.
-Result<std::pair<double, size_t>> MeasureVariant(bool use_arrangements,
-                                                 int f_rows) {
+Result<Variant> MeasureVariant(bool use_arrangements, int f_rows) {
   NERPA_ASSIGN_OR_RETURN(auto program, dlog::Program::Parse(kProgram));
   EngineOptions options;
   options.use_arrangements = use_arrangements;
@@ -50,7 +56,9 @@ Result<std::pair<double, size_t>> MeasureVariant(bool use_arrangements,
     NERPA_RETURN_IF_ERROR(engine.Commit().status());
   }
   double mean = watch.ElapsedSeconds() / 100;
-  return std::make_pair(mean, engine.GetStats().arrangement_entries);
+  NERPA_ASSIGN_OR_RETURN(std::vector<Row> joined, engine.Dump("J"));
+  return Variant{mean, engine.GetStats().arrangement_entries,
+                 std::move(joined)};
 }
 
 int Run() {
@@ -65,10 +73,18 @@ int Run() {
       std::fprintf(stderr, "ablation failed\n");
       return 1;
     }
-    table.AddRow({std::to_string(f_rows), bench::Us(indexed->first),
-                  bench::Us(scan->first),
-                  StrFormat("%.0fx", scan->first / indexed->first),
-                  std::to_string(indexed->second)});
+    if (indexed->joined != scan->joined) {
+      std::fprintf(stderr,
+                   "ablation: indexed and scan J differ at %d F rows "
+                   "(%zu vs %zu rows)\n",
+                   f_rows, indexed->joined.size(), scan->joined.size());
+      return 1;
+    }
+    table.AddRow({std::to_string(f_rows), bench::Us(indexed->mean_seconds),
+                  bench::Us(scan->mean_seconds),
+                  StrFormat("%.0fx", scan->mean_seconds /
+                                         indexed->mean_seconds),
+                  std::to_string(indexed->arrangement_entries)});
   }
   table.Print();
   std::printf(

@@ -123,6 +123,13 @@ for b in dlog_hotpath port_scaling incremental_vs_full lb_coldstart \
     echo "bench_$b produced no BENCH_$b.json" >&2; exit 1; }
 done
 
+# The ablation (A1) is the one Release run of the scan joins that
+# use_arrangements = false selects; it exits non-zero when the indexed and
+# scan variants derive different J rows.
+echo "--- bench_ablation (indexed and scan joins agree) ---"
+cmake --build build-ci-bench -j "$JOBS" --target bench_ablation
+build-ci-bench/bench/bench_ablation >/dev/null
+
 # The google-benchmark micro-benchmarks (E7) must run every case without
 # an error (e.g. a write case that overflows its table); the timings are
 # not gated.
