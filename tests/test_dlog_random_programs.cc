@@ -1,9 +1,10 @@
 // Random stratified programs against a naive bottom-up evaluator.
 //
 // A seeded generator builds small programs in a test-local rule form and
-// prints them as dlog text: two or three inputs of two bigint columns and
-// two to five derived relations, with joins over shared, repeated and
-// constant terms, negation of strictly lower strata, count/sum/min/max
+// prints them as dlog text: two or three inputs and two to five derived
+// relations of one, two or four to seven bigint columns (the wide ones
+// hold more values than a Row keeps inline), with joins over shared,
+// repeated and constant terms, negation of strictly lower strata, count/sum/min/max
 // group_by over lower strata, and positive (also mutual) recursion whose
 // affine heads are bounded by a filter, as in
 // `R(a, h + 1) :- R(b, h), E(b, a), h < 4`.
@@ -34,7 +35,7 @@ namespace {
 constexpr int kPrograms = 100;
 constexpr int kCommits = 30;
 constexpr int64_t kDomain = 5;  // input values are 0 .. kDomain - 1
-constexpr int kMaxVars = 6;
+constexpr int kMaxVars = 8;
 
 using Tuple = std::vector<int64_t>;
 using Tuples = std::set<Tuple>;
@@ -124,7 +125,7 @@ std::string ProgramText(const Prog& p) {
   for (const Rel& rel : p.rels) {
     out += rel.input ? "input " : rel.output ? "output " : "";
     out += "relation " + rel.name + "(c0: bigint";
-    if (rel.arity == 2) out += ", c1: bigint";
+    for (int c = 1; c < rel.arity; ++c) out += StrFormat(", c%d: bigint", c);
     out += ")\n";
   }
   for (const Rule& rule : p.rules) {
@@ -170,7 +171,9 @@ class Generator {
     Prog p;
     int inputs = 2 + Pick(2);
     for (int i = 0; i < inputs; ++i) {
-      p.rels.push_back(Rel{.name = StrFormat("I%d", i), .input = true});
+      p.rels.push_back(Rel{.name = StrFormat("I%d", i),
+                           .arity = Chance(30) ? Wide() : 2,
+                           .input = true});
     }
     int derived = 2 + Pick(4);
     int level = 0;
@@ -183,7 +186,10 @@ class Generator {
       bool share = !rel.aggregate && !prev.input && !prev.aggregate &&
                    Chance(25);
       rel.level = share ? level : ++level;
-      rel.arity = rel.aggregate || Chance(70) ? 2 : 1;
+      rel.arity = rel.aggregate ? 2  // (group, result)
+                  : Chance(25)  ? Wide()
+                  : Chance(70)  ? 2
+                                : 1;
       rel.output = Chance(50);
       p.rels.push_back(rel);
     }
@@ -202,6 +208,8 @@ class Generator {
  private:
   int Pick(int n) { return static_cast<int>(rng_() % static_cast<uint64_t>(n)); }
   bool Chance(int percent) { return Pick(100) < percent; }
+  /// A width above Row::kInline.
+  int Wide() { return 4 + Pick(4); }
 
   /// Relations a rule of `head` may read: strictly lower levels, or (for
   /// positive recursion) plain relations of its own level.
@@ -531,10 +539,13 @@ std::string RunProgram(uint64_t seed) {
     int count = 1 + static_cast<int>(rng() % 4);
     for (int k = 0; k < count; ++k) {
       int rel = inputs[rng() % inputs.size()];
-      Tuple t{static_cast<int64_t>(rng() % kDomain),
-              static_cast<int64_t>(rng() % kDomain)};
+      const Rel& decl = prog.rels[static_cast<size_t>(rel)];
+      Tuple t;
+      for (int c = 0; c < decl.arity; ++c) {
+        t.push_back(static_cast<int64_t>(rng() % kDomain));
+      }
       bool insert = rng() % 2 == 0;
-      const std::string& name = prog.rels[static_cast<size_t>(rel)].name;
+      const std::string& name = decl.name;
       for (Way& way : ways) {
         Status s = insert ? way.engine->Insert(name, ToRow(t))
                           : way.engine->Delete(name, ToRow(t));
@@ -545,9 +556,8 @@ std::string RunProgram(uint64_t seed) {
       } else {
         db[static_cast<size_t>(rel)].erase(t);
       }
-      ops += StrFormat(" %s%s(%lld, %lld)", insert ? "+" : "-", name.c_str(),
-                       static_cast<long long>(t[0]),
-                       static_cast<long long>(t[1]));
+      ops += StrFormat(" %s%s", insert ? "+" : "-", name.c_str()) +
+             TuplesText({t});
     }
     Db expected = Evaluate(prog, db);
     for (Way& way : ways) {
