@@ -12,12 +12,16 @@
 //      should stay near-flat.
 //   3. peak RSS of a string-keyed join database (4,096 keys x 64 rows at
 //      --scale=1) loaded by one bulk commit in a fresh child process, so
-//      the figure is a clean process peak.
+//      the figure is a clean process peak, and beside it the heap bytes
+//      in use: RSS also counts freed heap that glibc keeps, so it reads
+//      allocator retention as engine memory.
 //
 // Every number comes from this binary on this machine.  Nothing is
 // compared against constants recorded elsewhere: a ratio against another
 // machine's run measures the machine, not the engine.  Compare two builds
 // by running both binaries back to back.
+#include <malloc.h>
+
 #include <cstring>
 #include <random>
 #include <string>
@@ -47,7 +51,7 @@ J(a, b) :- R(k, a), S(k, b).
 std::string KeyName(int k) { return StrFormat("key-%d", k); }
 
 /// Child process: builds the string-keyed join database and prints
-/// "rss_bytes out_rows".
+/// "rss_bytes heap_in_use_bytes out_rows".
 int RunRssChild(const BenchArgs& args) {
   auto program = dlog::Program::Parse(kJoinProgram);
   if (!program.ok()) return 1;
@@ -63,13 +67,16 @@ int RunRssChild(const BenchArgs& args) {
     }
   }
   if (!engine.Commit().ok()) return 1;
-  std::printf("%lld %zu\n", static_cast<long long>(CurrentRssBytes()),
-              engine.Size("J"));
+  // In use: the arenas' allocated chunks plus the chunks malloc serves by
+  // mmap (large arrays), which uordblks leaves out.
+  struct mallinfo2 heap = mallinfo2();
+  std::printf("%lld %zu %zu\n", static_cast<long long>(CurrentRssBytes()),
+              heap.uordblks + heap.hblkhd, engine.Size("J"));
   return 0;
 }
 
 bool MeasureRss(const char* self, const BenchArgs& args, int64_t* rss,
-                size_t* rows) {
+                size_t* heap, size_t* rows) {
   std::string command = std::string(self) + " rss" + args.Forward();
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return false;
@@ -78,7 +85,9 @@ bool MeasureRss(const char* self, const BenchArgs& args, int64_t* rss,
   int status = pclose(pipe);
   if (!ok || status != 0) return false;
   long long rss_value = 0;
-  if (std::sscanf(line, "%lld %zu", &rss_value, rows) != 2) return false;
+  if (std::sscanf(line, "%lld %zu %zu", &rss_value, heap, rows) != 3) {
+    return false;
+  }
   *rss = rss_value;
   return true;
 }
@@ -208,21 +217,23 @@ int Run(const char* self, const BenchArgs& args) {
 
   // --- workload 3: peak RSS of a bulk-loaded join (child process) ---
   int64_t rss = 0;
-  size_t rows = 0;
-  if (!MeasureRss(self, args, &rss, &rows)) {
+  size_t heap = 0, rows = 0;
+  if (!MeasureRss(self, args, &rss, &heap, &rows)) {
     std::fprintf(stderr, "rss child failed\n");
     return 1;
   }
   {
-    Table table({"variant", "peak RSS", "derived rows"});
+    Table table({"variant", "peak RSS", "heap in use", "derived rows"});
     table.AddRow({"bulk-loaded string join",
                   StrFormat("%.1f MiB", static_cast<double>(rss) / 1048576.0),
+                  StrFormat("%.1f MiB", static_cast<double>(heap) / 1048576.0),
                   std::to_string(rows)});
     table.Print();
   }
   emitter.Param("rss_keys", args.Scaled(4096));
   emitter.Param("rss_fanout", 64);
   emitter.Metric("rss_bytes", rss);
+  emitter.Metric("heap_in_use_bytes", static_cast<int64_t>(heap));
 
   emitter.Param("join_keys", kKeys);
   emitter.Param("join_fanout", kFanout);

@@ -24,8 +24,9 @@
 // state is a linear scan, so it beats recomputation outright.
 //
 // With --baseline=FILE the bench compares the machine-independent ratios
-// (dlog/imperative CPU, restore speedup) against the checked-in baseline
-// and exits nonzero on a >30% regression (tune with --regress-frac=F).
+// (dlog/imperative CPU and peak RSS, restore speedup) against the
+// checked-in baseline and exits nonzero on a >30% regression (tune with
+// --regress-frac=F).
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -262,6 +263,8 @@ int Run(const char* self, int argc, char** argv, const BenchArgs& args) {
                           static_cast<double>(imp_result.rss) / 1048576.0)});
   table.Print();
   double cpu_ratio = dlog_result.cpu / imp_result.cpu;
+  double rss_ratio = static_cast<double>(dlog_result.rss) /
+                     static_cast<double>(imp_result.rss);
   double restore_speedup = restore_result.cold > 0
                                ? dlog_result.cold / restore_result.cold
                                : 0;
@@ -273,10 +276,7 @@ int Run(const char* self, int argc, char** argv, const BenchArgs& args) {
       "automatically incremental engine LOSES here — indexing for\n"
       "incrementality is pure overhead on a build-then-tear-down workload;\n"
       "checkpointing sidesteps the recomputation entirely.\n",
-      cpu_ratio,
-      static_cast<double>(dlog_result.rss) /
-          static_cast<double>(imp_result.rss),
-      restore_speedup);
+      cpu_ratio, rss_ratio, restore_speedup);
 
   JsonEmitter emitter("lb_coldstart", args);
   emitter.Param("load_balancers", kLbs);
@@ -298,15 +298,14 @@ int Run(const char* self, int argc, char** argv, const BenchArgs& args) {
   emitter.Metric("restore_rss_bytes",
                  static_cast<int64_t>(restore_result.rss));
   emitter.Metric("cpu_dlog_over_imperative", cpu_ratio);
-  emitter.Metric("rss_dlog_over_imperative",
-                 static_cast<double>(dlog_result.rss) /
-                     static_cast<double>(imp_result.rss));
+  emitter.Metric("rss_dlog_over_imperative", rss_ratio);
   emitter.Metric("restore_speedup_vs_cold", restore_speedup);
   emitter.Write();
 
   // --- CI gate: the machine-independent ratios against the checked-in
-  // baseline.  cpu_dlog_over_imperative is a ceiling (regressions push it
-  // up); restore_speedup_vs_cold is a floor (regressions pull it down).
+  // baseline.  The dlog/imperative CPU and RSS ratios are ceilings
+  // (regressions push them up); restore_speedup_vs_cold is a floor
+  // (regressions pull it down).
   if (!baseline_path.empty()) {
     std::ifstream in(baseline_path);
     if (!in) {
@@ -323,32 +322,32 @@ int Run(const char* self, int argc, char** argv, const BenchArgs& args) {
       return 1;
     }
     const Json* metrics = parsed.value().Find("metrics");
-    const Json* cpu_ref =
-        metrics == nullptr ? nullptr : metrics->Find("cpu_dlog_over_imperative");
-    const Json* speedup_ref =
-        metrics == nullptr ? nullptr : metrics->Find("restore_speedup_vs_cold");
-    if (cpu_ref == nullptr || !cpu_ref->is_number() ||
-        speedup_ref == nullptr || !speedup_ref->is_number()) {
-      std::fprintf(stderr,
-                   "bench: baseline lacks cpu_dlog_over_imperative / "
-                   "restore_speedup_vs_cold\n");
-      return 1;
-    }
-    double cpu_ceiling = cpu_ref->as_double() * (1.0 + regress_frac);
-    double speedup_floor = speedup_ref->as_double() * (1.0 - regress_frac);
-    std::printf("baseline gate: cpu ratio %.2fx vs %.2fx ceiling, restore "
-                "speedup %.2fx vs %.2fx floor (regress-frac %.2f)\n",
-                cpu_ratio, cpu_ceiling, restore_speedup, speedup_floor,
-                regress_frac);
-    if (cpu_ratio > cpu_ceiling) {
-      std::fprintf(stderr, "bench: REGRESSION: cpu ratio %.2fx > %.2fx\n",
-                   cpu_ratio, cpu_ceiling);
-      return 1;
-    }
-    if (restore_speedup < speedup_floor) {
-      std::fprintf(stderr, "bench: REGRESSION: restore speedup %.2fx < %.2fx\n",
-                   restore_speedup, speedup_floor);
-      return 1;
+    struct Gate {
+      const char* metric;
+      double value;
+      bool ceiling;
+    };
+    const Gate gates[] = {{"cpu_dlog_over_imperative", cpu_ratio, true},
+                          {"rss_dlog_over_imperative", rss_ratio, true},
+                          {"restore_speedup_vs_cold", restore_speedup, false}};
+    for (const Gate& gate : gates) {
+      const Json* ref =
+          metrics == nullptr ? nullptr : metrics->Find(gate.metric);
+      if (ref == nullptr || !ref->is_number()) {
+        std::fprintf(stderr, "bench: baseline lacks %s\n", gate.metric);
+        return 1;
+      }
+      double bound = ref->as_double() *
+                     (gate.ceiling ? 1.0 + regress_frac : 1.0 - regress_frac);
+      std::printf("baseline gate: %s %.2fx vs %.2fx %s (regress-frac %.2f)\n",
+                  gate.metric, gate.value, bound,
+                  gate.ceiling ? "ceiling" : "floor", regress_frac);
+      if (gate.ceiling ? gate.value > bound : gate.value < bound) {
+        std::fprintf(stderr, "bench: REGRESSION: %s %.2fx %s %.2fx\n",
+                     gate.metric, gate.value, gate.ceiling ? ">" : "<",
+                     bound);
+        return 1;
+      }
     }
   }
   return 0;

@@ -38,7 +38,7 @@ bool RowLess(const Row& a, const Row& b) { return a < b; }
 
 /// Projects `row`'s arrangement key into a reusable scratch buffer;
 /// returns a borrowed view (no heap allocation).
-RowView ProjectInto(const Row& row, const std::vector<int>& positions,
+RowView ProjectInto(RowView row, const std::vector<int>& positions,
                     ValueVec& buf) {
   buf.clear();
   for (int p : positions) buf.push_back(row[static_cast<size_t>(p)]);
@@ -121,7 +121,7 @@ class Engine::Txn {
           ++e_.key_rows_materialized_;
           it = arr.index.emplace(MaterializeKey(key), RowSet{}).first;
         }
-        it->second.insert(row);
+        it->second.emplace(row);
       }
     }
   }
@@ -144,8 +144,10 @@ class Engine::Txn {
   void ResetLogs() {
     if (fold_log_.capacity() > 65536) {
       std::vector<FoldRecord>{}.swap(fold_log_);
+      std::vector<Value>{}.swap(fold_values_);
     } else {
       fold_log_.clear();
+      fold_values_.clear();
     }
     if (agg_log_.capacity() > 65536) {
       std::vector<AggRecord>{}.swap(agg_log_);
@@ -159,32 +161,30 @@ class Engine::Txn {
   /// aggregation state exactly.
   void Rollback() {
     overlay_ = nullptr;
-    head_scratch_.clear();  // a failed stratum may leave heads behind
+    ZSet& inverse = delta_scratch_;
+    inverse.clear();  // a failed stratum may leave heads behind
     rolling_back_ = true;
     for (auto it = agg_log_.rbegin(); it != agg_log_.rend(); ++it) {
       AggState& state = e_.agg_states_[static_cast<size_t>(it->state_index)];
       ZSet& group = state.groups[it->group];
-      int64_t& count = group[it->binding];
-      count -= it->weight;
-      if (count == 0) group.erase(it->binding);
+      group.Add(it->binding, -it->weight);
       if (group.empty()) state.groups.erase(it->group);
     }
     agg_log_.clear();
+    size_t end = fold_values_.size();
     for (auto it = fold_log_.rbegin(); it != fold_log_.rend(); ++it) {
-      if (it->set_level) {
-        FoldSetDelta(it->rel,
-                     {{it->row, static_cast<int>(-it->weight)}});
-      } else {
-        ZSet inverse;
-        inverse.try_emplace(it->row, -it->weight);
-        // LIFO replay walks each count back along the path it came, so
-        // every intermediate value is the (non-negative) original.
-        Status s = FoldCountDelta(it->rel, inverse);
-        assert(s.ok());
-        (void)s;
-      }
+      end -= it->arity;
+      inverse.try_emplace(RowView(fold_values_.data() + end, it->arity),
+                          -it->weight);
+      // LIFO replay walks each count back along the path it came, so
+      // every intermediate value is the (non-negative) original.
+      Status s = Fold(it->rel, inverse, /*set_level=*/false);
+      assert(s.ok());
+      (void)s;
+      inverse.clear();
     }
     fold_log_.clear();
+    fold_values_.clear();
     rolling_back_ = false;
   }
 
@@ -204,26 +204,15 @@ class Engine::Txn {
     return Row(key.data(), key.size());
   }
 
-  void BumpFlip(Arrangement& arr, RowView key, int direction) {
-    auto it = arr.flips.find(key);
-    if (it == arr.flips.end()) {
-      ++e_.key_rows_materialized_;
-      arr.flips.try_emplace(MaterializeKey(key), direction);
-      return;
-    }
-    it->second += direction;
-    if (it->second == 0) arr.flips.erase(it);
-  }
-
   /// One presence transition per entry; rows borrowed from the caller.
-  using ArrDelta = std::vector<std::pair<const Row*, int>>;
+  using ArrDelta = std::vector<std::pair<RowView, int>>;
 
   /// Batched index maintenance: applies a whole transition batch to each
   /// arrangement in turn (one spec/arrangement fetch per batch instead of
   /// per row), recording presence flips and per-key deletions where the
   /// spec says a reader uses them.  Probe keys are assembled in a scratch
   /// buffer; a key Row is materialized only when a bucket is created (or
-  /// first recorded in flips/deleted).
+  /// first recorded in deleted).
   void ApplyArrangementDelta(int rel, const ArrDelta& delta) {
     if (!e_.options_.use_arrangements || delta.empty()) return;
     RelState& state = e_.relations_[static_cast<size_t>(rel)];
@@ -232,19 +221,21 @@ class Engine::Txn {
       const ArrangementSpec& spec = specs[a];
       Arrangement& arr = state.arrangements[a];
       for (const auto& [row, direction] : delta) {
-        RowView key = ProjectInto(*row, spec.key_positions, arr_key_buf_);
+        RowView key = ProjectInto(row, spec.key_positions, arr_key_buf_);
         if (direction > 0) {
           auto it = arr.index.find(key);
           if (it == arr.index.end()) {
             ++e_.key_rows_materialized_;
             it = arr.index.emplace(MaterializeKey(key), RowSet{}).first;
-            if (spec.records_flips) BumpFlip(arr, key, +1);
+            if (spec.records_flips) arr.flips.Add(key, +1);
           }
-          it->second.insert(*row);
+          it->second.emplace(row);
         } else {
           auto it = arr.index.find(key);
           if (it == arr.index.end()) continue;
-          it->second.erase(*row);
+          if (auto held = it->second.find(row); held != it->second.end()) {
+            it->second.erase(held);
+          }
           if (spec.records_deleted) {
             auto del = arr.deleted.find(key);
             if (del == arr.deleted.end()) {
@@ -252,65 +243,41 @@ class Engine::Txn {
               del = arr.deleted.emplace(MaterializeKey(key),
                                         std::vector<Row>{}).first;
             }
-            del->second.push_back(*row);
+            del->second.emplace_back(row);
           }
           if (it->second.empty()) {
             arr.index.erase(it);
-            if (spec.records_flips) BumpFlip(arr, key, -1);
+            if (spec.records_flips) arr.flips.Add(key, -1);
           }
         }
       }
     }
   }
 
-  /// Applies a set-level delta (rows with +-1) to `rel`: counts are forced
-  /// to 1/absent.  Used for inputs and recursive-stratum relations.
-  void FoldSetDelta(int rel, const std::vector<std::pair<Row, int>>& delta) {
-    if (delta.empty()) return;
+  /// Folds `delta` into the derivation counts of `rel`, deriving its
+  /// set-level transitions, the arrangement batch and the undo log.  Each
+  /// weight adds to its row's count (non-recursive derived relations); with
+  /// `set_level` its sign sets the row present with count 1 or absent
+  /// (inputs and recursive strata).  Zero weights change nothing.
+  Status Fold(int rel, const ZSet& delta, bool set_level) {
+    if (delta.empty()) return Status::Ok();
     MarkDirty(rel);
     RelState& state = e_.relations_[static_cast<size_t>(rel)];
-    ArrDelta arr_delta;
-    arr_delta.reserve(delta.size());
-    for (const auto& [row, direction] : delta) {
-      if (direction > 0) {
-        state.counts[row] = 1;
-      } else {
-        state.counts.erase(row);
-        state.txn_deleted.push_back(row);
-      }
-      arr_delta.emplace_back(&row, direction);
-      int64_t& d = state.set_delta[row];
-      d += direction;
-      if (d == 0) state.set_delta.erase(row);
-      if (!rolling_back_) {
-        fold_log_.push_back(FoldRecord{rel, row, direction, /*set_level=*/true});
-      }
-    }
-    ApplyArrangementDelta(rel, arr_delta);
-  }
-
-  /// Applies a derivation-count delta to `rel`, deriving the set-level
-  /// transitions.  Used for non-recursive derived relations.
-  Status FoldCountDelta(int rel, const ZSet& count_delta) {
-    if (count_delta.empty()) return Status::Ok();
-    MarkDirty(rel);
-    RelState& state = e_.relations_[static_cast<size_t>(rel)];
-    if (!rolling_back_) fold_log_.reserve(fold_log_.size() + count_delta.size());
-    // Rows borrowed from count_delta, which no fold here mutates (a flat
-    // map moves its entries on any insert or erase).
+    // Rows borrowed from `delta`, which no fold here mutates.
     ArrDelta transitions;
-    for (const auto& [row, weight] : count_delta) {
+    for (auto entry = delta.begin(); entry != delta.end(); ++entry) {
+      auto [row, weight] = *entry;
       if (weight == 0) continue;
-      // Single hash lookup per row: insert-or-find, then adjust in place.
-      auto [it, inserted] = state.counts.try_emplace(row, 0);
-      int64_t old_count = inserted ? 0 : it->second;
-      int64_t new_count = old_count + weight;
+      auto [it, inserted] = state.counts.try_emplace(row, 0, entry.hash());
+      const int64_t old_count = it->second;
+      const int64_t new_count =
+          set_level ? (weight > 0 ? 1 : 0) : old_count + weight;
       if (new_count < 0) {
         if (inserted) state.counts.erase(it);
         ApplyArrangementDelta(rel, transitions);  // keep state coherent
         return Internal(StrFormat(
             "negative derivation count for %s in relation '%s'",
-            RowToString(row).c_str(),
+            RowToString(Row(row)).c_str(),
             program_.relation(rel).name.c_str()));
       }
       if (new_count == 0) {
@@ -318,18 +285,16 @@ class Engine::Txn {
       } else {
         it->second = new_count;
       }
+      if (new_count == old_count) continue;
       if (!rolling_back_) {
-        fold_log_.push_back(FoldRecord{rel, row, weight, /*set_level=*/false});
+        fold_log_.push_back(FoldRecord{rel, static_cast<uint32_t>(row.size()),
+                                       new_count - old_count});
+        fold_values_.insert(fold_values_.end(), row.begin(), row.end());
       }
-      if (old_count == 0 && new_count > 0) {
-        transitions.emplace_back(&row, +1);
-        int64_t& d = state.set_delta[row];
-        if (++d == 0) state.set_delta.erase(row);
-      } else if (old_count > 0 && new_count == 0) {
-        transitions.emplace_back(&row, -1);
-        state.txn_deleted.push_back(row);
-        int64_t& d = state.set_delta[row];
-        if (--d == 0) state.set_delta.erase(row);
+      if ((old_count == 0) != (new_count == 0)) {
+        const int direction = new_count > 0 ? +1 : -1;
+        transitions.emplace_back(row, direction);
+        state.set_delta.Add(row, direction, entry.hash());
       }
     }
     ApplyArrangementDelta(rel, transitions);
@@ -344,7 +309,7 @@ class Engine::Txn {
     return it == overlay_->end() ? nullptr : &it->second;
   }
 
-  static bool OverlayHides(const RelOverlay& ov, const Row& row) {
+  static bool OverlayHides(const RelOverlay& ov, RowView row) {
     if (ov.removed != nullptr && ov.removed->count(row) != 0) {
       return !(ov.removed_except != nullptr &&
                ov.removed_except->count(row) != 0);
@@ -362,47 +327,19 @@ class Engine::Txn {
                     Fn&& fn) {
     RelState& state = e_.relations_[static_cast<size_t>(rel)];
     const RelOverlay* ov = FindOverlay(rel);
-    // OLD-mode reads must skip rows inserted this transaction; hoist the
-    // (common) no-delta case so clean relations pay no per-row lookup.
-    const ZSet* txn_inserted =
+    // OLD-mode reads skip the rows this transaction inserted and add back
+    // the ones it deleted; hoist the (common) no-delta case so clean
+    // relations pay no per-row lookup.
+    const ZSet* txn_delta =
         mode == Mode::kOld && !state.set_delta.empty() ? &state.set_delta
                                                        : nullptr;
-    if (arrangement >= 0 && !e_.options_.use_arrangements) {
-      ++e_.scans_;
-      // Ablation mode: scan and filter by the arrangement's key positions.
-      const auto& positions =
-          program_.arrangements()[static_cast<size_t>(rel)]
-                                 [static_cast<size_t>(arrangement)]
-                                     .key_positions;
-      auto matches_key = [&](const Row& row) {
-        for (size_t k = 0; k < positions.size(); ++k) {
-          if (!(row[static_cast<size_t>(positions[k])] == key[k])) {
-            return false;
-          }
-        }
-        return true;
-      };
-      for (const auto& [row, count] : state.counts) {
-        if (ov != nullptr && OverlayHides(*ov, row)) continue;
-        if (txn_inserted != nullptr) {
-          auto d = txn_inserted->find(row);
-          if (d != txn_inserted->end() && d->second > 0) continue;
-        }
-        if (matches_key(row) && !fn(row)) return false;
-      }
-      if (mode == Mode::kOld) {
-        for (const Row& row : state.txn_deleted) {
-          if (matches_key(row) && !fn(row)) return false;
-        }
-      }
-      if (ov != nullptr && ov->added != nullptr) {
-        for (const Row& row : *ov->added) {
-          if (matches_key(row) && !fn(row)) return false;
-        }
-      }
-      return true;
-    }
-    if (arrangement >= 0) {
+    auto visible = [&](RowView row, size_t hash) {
+      if (ov != nullptr && OverlayHides(*ov, row)) return false;
+      if (txn_delta == nullptr) return true;
+      auto d = txn_delta->find(row, hash);
+      return d == txn_delta->end() || d->second < 0;
+    };
+    if (arrangement >= 0 && e_.options_.use_arrangements) {
       ++e_.probes_;
       ++e_.key_allocs_saved_;
       Arrangement& arr = state.arrangements[static_cast<size_t>(arrangement)];
@@ -410,12 +347,7 @@ class Engine::Txn {
       if (bucket != arr.index.end()) {
         ++e_.probe_hits_;
         for (const Row& row : bucket->second) {
-          if (ov != nullptr && OverlayHides(*ov, row)) continue;
-          if (txn_inserted != nullptr) {
-            auto d = txn_inserted->find(row);
-            if (d != txn_inserted->end() && d->second > 0) continue;
-          }
-          if (!fn(row)) return false;
+          if (visible(row, row.Hash()) && !fn(row)) return false;
         }
       }
       if (mode == Mode::kOld) {
@@ -438,24 +370,37 @@ class Engine::Txn {
       }
       return true;
     }
-    // Full scan.
+    // A scan: of every row, or (ablation mode) of the rows holding `key` at
+    // the arrangement's key positions.
     ++e_.scans_;
-    for (const auto& [row, count] : state.counts) {
-      if (ov != nullptr && OverlayHides(*ov, row)) continue;
-      if (txn_inserted != nullptr) {
-        auto d = txn_inserted->find(row);
-        if (d != txn_inserted->end() && d->second > 0) continue;
-      }
-      if (!fn(row)) return false;
+    const std::vector<int>* positions = nullptr;
+    if (arrangement >= 0) {
+      positions = &program_.arrangements()[static_cast<size_t>(rel)]
+                                          [static_cast<size_t>(arrangement)]
+                       .key_positions;
     }
-    if (mode == Mode::kOld) {
-      for (const Row& row : state.txn_deleted) {
-        if (!fn(row)) return false;
+    auto matches_key = [&](RowView row) {
+      for (size_t k = 0; positions != nullptr && k < positions->size(); ++k) {
+        if (!(row[static_cast<size_t>((*positions)[k])] == key[k])) {
+          return false;
+        }
+      }
+      return true;
+    };
+    for (auto it = state.counts.begin(); it != state.counts.end(); ++it) {
+      RowView row = (*it).first;
+      if (visible(row, it.hash()) && matches_key(row) && !fn(row)) {
+        return false;
+      }
+    }
+    if (txn_delta != nullptr) {
+      for (const auto& [row, d] : *txn_delta) {
+        if (d < 0 && matches_key(row) && !fn(row)) return false;
       }
     }
     if (ov != nullptr && ov->added != nullptr) {
       for (const Row& row : *ov->added) {
-        if (!fn(row)) return false;
+        if (matches_key(row) && !fn(row)) return false;
       }
     }
     return true;
@@ -464,33 +409,18 @@ class Engine::Txn {
   /// Presence test for negation: does any row of `rel` match `key`?
   bool AnyMatch(int rel, int arrangement, RowView key, Mode mode) {
     bool found = false;
-    ForEachMatch(rel, arrangement, key, mode, [&](const Row&) {
+    ForEachMatch(rel, arrangement, key, mode, [&](RowView) {
       found = true;
       return false;
     });
     return found;
   }
 
-  /// Set-level membership test under mode + overlay.
-  bool ContainsRow(int rel, const Row& row, Mode mode) {
-    RelState& state = e_.relations_[static_cast<size_t>(rel)];
-    const RelOverlay* ov = FindOverlay(rel);
-    if (ov != nullptr) {
-      if (ov->added != nullptr && ov->added->count(row) != 0) return true;
-      if (OverlayHides(*ov, row)) return false;
-    }
-    bool present_new = state.counts.count(row) != 0;
-    if (mode == Mode::kNew) return present_new;
-    auto d = state.set_delta.find(row);
-    if (d == state.set_delta.end()) return present_new;
-    return d->second < 0;  // deleted this txn => was present before
-  }
-
   // --- The join executor ---
 
   /// Binds `row` against `terms`, returning false on mismatch.  Newly bound
   /// slots are appended to `trail` for later unbinding.
-  bool MatchTerms(const std::vector<TermPlan>& terms, const Row& row,
+  bool MatchTerms(const std::vector<TermPlan>& terms, RowView row,
                   std::vector<int>& trail) {
     for (size_t p = 0; p < terms.size(); ++p) {
       const TermPlan& term = terms[p];
@@ -604,7 +534,7 @@ class Engine::Txn {
         // matched row never heap-allocates.
         std::vector<int>& trail = trail_buffers_[step_index];
         ForEachMatch(step.relation, lookup.arrangement, key, mode,
-                     [&](const Row& row) {
+                     [&](RowView row) {
                        trail.clear();
                        if (MatchTerms(step.terms, row, trail)) {
                          Status s =
@@ -666,7 +596,7 @@ class Engine::Txn {
     if (mode == Mode::kNew && ov == nullptr) return !state.counts.empty();
     // Rare path: count visible rows until one is found.
     bool found = false;
-    ForEachMatch(rel, -1, RowView{}, mode, [&](const Row&) {
+    ForEachMatch(rel, -1, RowView{}, mode, [&](RowView) {
       found = true;
       return false;
     });
@@ -695,24 +625,22 @@ class Engine::Txn {
     });
   }
 
-  /// Evaluates the head expressions into a row.  All-bare-variable heads
-  /// (the common case) gather straight from frame slots — no expression
-  /// evaluation on the emit hot path.
-  Result<Row> HeadRow(const CompiledRule& rule) {
-    Row row;
+  /// Evaluates the head expressions into a scratch row, valid until the
+  /// next call.  All-bare-variable heads (the common case) gather straight
+  /// from frame slots — no expression evaluation on the emit hot path.
+  Result<RowView> HeadRow(const CompiledRule& rule) {
+    head_buf_.clear();
     if (rule.head_all_vars) {
-      row.reserve(rule.head_var_slots.size());
       for (int slot : rule.head_var_slots) {
-        row.push_back(frame_[static_cast<size_t>(slot)]);
+        head_buf_.push_back(frame_[static_cast<size_t>(slot)]);
       }
-      return row;
+      return RowView(head_buf_);
     }
-    row.reserve(rule.head_exprs.size());
     for (const ExprPtr& expr : rule.head_exprs) {
       NERPA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, frame_));
-      row.push_back(std::move(v));
+      head_buf_.push_back(v);
     }
-    return row;
+    return RowView(head_buf_);
   }
 
   // --- Delta-plan driving ---
@@ -758,16 +686,13 @@ class Engine::Txn {
 
     RelState& pinned_state =
         e_.relations_[static_cast<size_t>(pinned.relation)];
+    // The pinned changes are read in place: no fold runs until every rule
+    // of the stratum has fired, so no set_delta or flips moves meanwhile.
     if (!pinned.negated) {
-      if (pinned_state.set_delta.empty()) return Status::Ok();
-      // Copy: sinks may fold into unrelated relations, never this one, but
-      // iterate a copy anyway, as any insert moves a flat map's entries.
-      std::vector<ZSet::value_type> changed(
-          pinned_state.set_delta.begin(), pinned_state.set_delta.end());
       // The pinned step is skipped by ExecSteps, so its trail is free.
       std::vector<int>& trail =
           trail_buffers_[static_cast<size_t>(plan.pinned_step)];
-      for (const auto& [row, weight] : changed) {
+      for (const auto& [row, weight] : pinned_state.set_delta) {
         NERPA_RETURN_IF_ERROR(replay(weight, [&] {
           trail.clear();
           return MatchTerms(pinned.terms, row, trail);
@@ -780,12 +705,10 @@ class Engine::Txn {
       Arrangement& arr =
           pinned_state.arrangements[static_cast<size_t>(
               plan.pinned_arrangement)];
-      if (arr.flips.empty()) return Status::Ok();
-      std::vector<ZSet::value_type> flips(arr.flips.begin(), arr.flips.end());
       const ArrangementSpec& spec =
           program_.arrangements()[static_cast<size_t>(pinned.relation)]
                                  [static_cast<size_t>(plan.pinned_arrangement)];
-      for (const auto& [key, flip] : flips) {
+      for (const auto& [key, flip] : arr.flips) {
         // A key that became present blocks derivations: weight -flip.
         NERPA_RETURN_IF_ERROR(replay(-flip, [&] {
           return BindNegatedKey(pinned, spec.key_positions, key);
@@ -810,7 +733,7 @@ class Engine::Txn {
   /// atom must take one value at every position: a key (1, 2) binds
   /// nothing for `not B(a, a)`.  Returns false on a mismatch.
   bool BindNegatedKey(const StepPlan& pinned,
-                      const std::vector<int>& positions, const Row& key) {
+                      const std::vector<int>& positions, RowView key) {
     for (size_t k = 0; k < positions.size(); ++k) {
       const TermPlan& term = pinned.terms[static_cast<size_t>(positions[k])];
       if (term.kind == TermPlan::Kind::kCheckConst) {
@@ -885,10 +808,7 @@ class Engine::Txn {
       Row binding = CollectSlots(agg.binding_slots);
       NERPA_ASSIGN_OR_RETURN(Value arg, EvalExpr(*agg.agg_arg, frame_));
       binding.push_back(std::move(arg));
-      ZSet& bucket = collected[group];
-      int64_t& w = bucket[binding];
-      w += weight;
-      if (w == 0) bucket.erase(binding);
+      collected[group].Add(binding, weight);
       return Status::Ok();
     };
 
@@ -906,14 +826,11 @@ class Engine::Txn {
       ZSet& group_state = state.groups[group];
       std::optional<Value> old_result = ComputeAgg(agg, group_state);
       for (const auto& [binding, weight] : delta) {
-        int64_t& count = group_state[binding];
-        count += weight;
         agg_log_.push_back(
-            AggRecord{agg.agg_state_index, group, binding, weight});
-        if (count < 0) {
+            AggRecord{agg.agg_state_index, group, Row(binding), weight});
+        if (group_state.Add(binding, weight) < 0) {
           return Internal("negative aggregation support count");
         }
-        if (count == 0) group_state.erase(binding);
       }
       std::optional<Value> new_result = ComputeAgg(agg, group_state);
       if (group_state.empty()) state.groups.erase(group);
@@ -929,18 +846,14 @@ class Engine::Txn {
       if (old_result) {
         frame_[static_cast<size_t>(agg.result_slot)] = *old_result;
         bound_[static_cast<size_t>(agg.result_slot)] = 1;
-        NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-        int64_t& w = head_delta[row];
-        w -= 1;
-        if (w == 0) head_delta.erase(row);
+        NERPA_ASSIGN_OR_RETURN(RowView row, HeadRow(rule));
+        head_delta.Add(row, -1);
       }
       if (new_result) {
         frame_[static_cast<size_t>(agg.result_slot)] = *new_result;
         bound_[static_cast<size_t>(agg.result_slot)] = 1;
-        NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-        int64_t& w = head_delta[row];
-        w += 1;
-        if (w == 0) head_delta.erase(row);
+        NERPA_ASSIGN_OR_RETURN(RowView row, HeadRow(rule));
+        head_delta.Add(row, +1);
       }
     }
     return Status::Ok();
@@ -956,7 +869,7 @@ class Engine::Txn {
     // rehashes.  (A sorted stage-sort-net buffer was measured here and
     // lost: sorting fat (Row, weight) pairs costs more than a warm hash
     // index.)
-    ZSet& head_delta = head_scratch_;
+    ZSet& head_delta = delta_scratch_;
     for (int rule_index : stratum.rules) {
       const CompiledRule& rule =
           program_.rules()[static_cast<size_t>(rule_index)];
@@ -965,10 +878,8 @@ class Engine::Txn {
         continue;
       }
       auto emit = [&](int64_t weight) -> Status {
-        NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-        int64_t& w = head_delta[row];
-        w += weight;
-        if (w == 0) head_delta.erase(row);
+        NERPA_ASSIGN_OR_RETURN(RowView row, HeadRow(rule));
+        head_delta.Add(row, weight);
         return Status::Ok();
       };
       for (const DeltaPlan& plan : rule.delta_plans) {
@@ -978,7 +889,7 @@ class Engine::Txn {
                                                emit));
       }
     }
-    Status folded = FoldCountDelta(head_rel, head_delta);
+    Status folded = Fold(head_rel, head_delta, /*set_level=*/false);
     head_delta.clear();
     return folded;
   }
@@ -1026,7 +937,7 @@ class Engine::Txn {
           trail.clear();
           if (!MatchTerms(pinned.terms, row, trail)) return Status::Ok();
           return ExecSteps(exec, 0, 0, [&](std::vector<Value>&) -> Status {
-            NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
+            NERPA_ASSIGN_OR_RETURN(RowView head, HeadRow(rule));
             emit(rule.head_relation, head);
             return Status::Ok();
           });
@@ -1055,7 +966,7 @@ class Engine::Txn {
     }
     std::vector<std::pair<int, Row>> derived;   // heads of the running pass
     std::vector<std::pair<int, Row>> worklist;  // (relation, tuple)
-    auto insert = [&](int rel, const Row& row) {
+    auto insert = [&](int rel, RowView row) {
       derived.emplace_back(rel, row);
     };
     // A pass iterates the overlay's containers, so the heads it derives
@@ -1067,7 +978,7 @@ class Engine::Txn {
         if (w.inserted.count(row) != 0) continue;
         // Present in the working state already?
         RelState& state = e_.relations_[static_cast<size_t>(rel)];
-        bool base_present = state.counts.count(row) != 0 &&
+        bool base_present = state.counts.count(row, row.Hash()) != 0 &&
                             !(w.overdeleted.count(row) != 0 &&
                               w.rederived.count(row) == 0);
         if (base_present) continue;
@@ -1124,12 +1035,12 @@ class Engine::Txn {
     // ---- Phase 1: overdelete, then rederive (DRed). ----
     // Seeds: retractions through external pins, everything read OLD.
     std::vector<std::pair<int, Row>> worklist;  // (relation, tuple)
-    auto overdelete = [&](int rel, const Row& row) {
+    auto overdelete = [&](int rel, RowView row) {
       SccWork& w = work[rel];
       if (w.overdeleted.count(row) != 0) return;
       RelState& state = e_.relations_[static_cast<size_t>(rel)];
       if (state.counts.count(row) == 0) return;  // not present before txn
-      w.overdeleted.insert(row);
+      w.overdeleted.emplace(row);
       worklist.emplace_back(rel, row);
     };
     // External pins drive one direction each phase: retractions here,
@@ -1147,7 +1058,7 @@ class Engine::Txn {
           NERPA_RETURN_IF_ERROR(ProcessDeltaPlan(
               rule, plan, changes, mode, /*stop_at_aggregate=*/false,
               [&](int64_t) -> Status {
-                NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
+                NERPA_ASSIGN_OR_RETURN(RowView head, HeadRow(rule));
                 emit(rule.head_relation, head);
                 return Status::Ok();
               }));
@@ -1211,10 +1122,10 @@ class Engine::Txn {
               program_.rules()[static_cast<size_t>(rule_index)];
           SccWork& w = work[rule.head_relation];
           auto keep = [&]() -> Status {
-            NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
+            NERPA_ASSIGN_OR_RETURN(RowView head, HeadRow(rule));
             if (w.overdeleted.count(head) != 0 &&
                 w.rederived.count(head) == 0) {
-              w.rederived.insert(head);
+              w.rederived.emplace(head);
               changed = true;
             }
             return Status::Ok();
@@ -1236,21 +1147,22 @@ class Engine::Txn {
         }));
 
     // ---- Fold the net changes. ----
+    ZSet& delta = delta_scratch_;
     for (int rel : stratum.relations) {
       SccWork& w = work[rel];
-      std::vector<std::pair<Row, int>> delta;
       for (const Row& row : w.overdeleted) {
         if (w.rederived.count(row) != 0) continue;
         if (w.inserted.count(row) != 0) continue;  // net zero
-        delta.emplace_back(row, -1);
+        delta.try_emplace(row, -1, row.Hash());
       }
       for (const Row& row : w.inserted) {
         // An overdeleted tuple that phase 2 re-inserted was present all
         // along: net zero, like the skip above.
         if (w.overdeleted.count(row) != 0) continue;
-        delta.emplace_back(row, +1);
+        delta.try_emplace(row, +1, row.Hash());
       }
-      FoldSetDelta(rel, delta);
+      NERPA_RETURN_IF_ERROR(Fold(rel, delta, /*set_level=*/true));
+      delta.clear();
     }
     return Status::Ok();
   }
@@ -1313,8 +1225,8 @@ class Engine::Txn {
         Row& holder = it->second;
         if (fresh) {
           ForEachMatch(rel, arr, it->first.second.span(), Mode::kNew,
-                       [&](const Row& held) {
-                         holder = held;
+                       [&](RowView held) {
+                         holder = Row(held);
                          return false;  // a key holds at most one row
                        });
         }
@@ -1332,26 +1244,30 @@ class Engine::Txn {
     pending.swap(ops);
   }
 
+  /// Nets the queued ops relation by relation, in relation order: the
+  /// last op on a row decides, and one that leaves the row as it was
+  /// before the commit nets to weight 0, which the fold skips.
   Status ApplyInputs() {
-    if (e_.pending_.empty()) return Status::Ok();
-    // Net presence change per (relation, row), respecting op order.
-    std::map<int, std::vector<std::pair<Row, int>>> net;
-    std::map<int, std::unordered_map<Row, bool, RowHash, RowEq>> finals;
-    for (const auto& [rel, row, direction] : e_.pending_) {
-      finals[rel][row] = direction > 0;
-    }
-    for (auto& [rel, rows] : finals) {
-      RelState& state = e_.relations_[static_cast<size_t>(rel)];
-      for (auto& [row, present_final] : rows) {
-        bool present_initial = state.counts.count(row) != 0;
-        if (present_initial == present_final) continue;
-        net[rel].emplace_back(row, present_final ? +1 : -1);
+    auto& pending = e_.pending_;
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const auto& a, const auto& b) {
+                       return std::get<0>(a) < std::get<0>(b);
+                     });
+    ZSet& net = delta_scratch_;
+    for (size_t i = 0; i < pending.size();) {
+      const int rel = std::get<0>(pending[i]);
+      const ZSet& counts = e_.relations_[static_cast<size_t>(rel)].counts;
+      for (; i < pending.size() && std::get<0>(pending[i]) == rel; ++i) {
+        const auto& [r, row, direction] = pending[i];
+        const size_t hash = row.Hash();
+        const bool present = counts.count(row, hash) != 0;
+        net.try_emplace(row, 0, hash).first->second =
+            present == (direction > 0) ? 0 : direction;
       }
+      NERPA_RETURN_IF_ERROR(Fold(rel, net, /*set_level=*/true));
+      net.clear();
     }
-    e_.pending_.clear();
-    for (auto& [rel, delta] : net) {
-      FoldSetDelta(rel, delta);
-    }
+    pending.clear();
     return Status::Ok();
   }
 
@@ -1367,7 +1283,7 @@ class Engine::Txn {
       SetDelta delta;
       delta.reserve(state.set_delta.size());
       for (const auto& [row, d] : state.set_delta) {
-        if (d != 0) delta.emplace_back(row, d > 0 ? +1 : -1);
+        delta.emplace_back(row, d > 0 ? +1 : -1);
       }
       std::sort(delta.begin(), delta.end(),
                 [](const auto& a, const auto& b) {
@@ -1442,7 +1358,9 @@ class Engine::Txn {
         auto fd = final_deletes.find(rel);
         if (fd != final_deletes.end() && fd->second.count(row) != 0) continue;
         RelState& state = e_.relations_[static_cast<size_t>(rel)];
-        if (state.counts.try_emplace(row, 1).second) MarkDirty(rel);
+        if (state.counts.try_emplace(row, 1, row.Hash()).second) {
+          MarkDirty(rel);
+        }
       } else {
         final_deletes[rel].insert(row);
       }
@@ -1464,8 +1382,8 @@ class Engine::Txn {
       }
       return Status::Ok();
     }
-    NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
-    out.push_back(std::move(head));
+    NERPA_ASSIGN_OR_RETURN(RowView head, HeadRow(rule));
+    out.emplace_back(head);
     return Status::Ok();
   }
 
@@ -1482,7 +1400,7 @@ class Engine::Txn {
       Row binding = CollectSlots(agg.binding_slots);
       NERPA_ASSIGN_OR_RETURN(Value arg, EvalExpr(*agg.agg_arg, frame_));
       binding.push_back(std::move(arg));
-      ++collected[std::move(group)][std::move(binding)];
+      ++collected[std::move(group)][binding];
       return Status::Ok();
     };
     NERPA_RETURN_IF_ERROR(
@@ -1491,8 +1409,7 @@ class Engine::Txn {
     AggState& state =
         e_.agg_states_[static_cast<size_t>(agg.agg_state_index)];
     for (auto& [group, bindings] : collected) {
-      ZSet& group_state = state.groups[group];
-      for (auto& [binding, weight] : bindings) group_state[binding] = weight;
+      ZSet& group_state = state.groups[group] = std::move(bindings);
       std::optional<Value> result = ComputeAgg(agg, group_state);
       if (!result) continue;
       frame_.assign(static_cast<size_t>(rule.frame_size), Value());
@@ -1504,8 +1421,8 @@ class Engine::Txn {
       }
       frame_[static_cast<size_t>(agg.result_slot)] = *result;
       bound_[static_cast<size_t>(agg.result_slot)] = 1;
-      NERPA_ASSIGN_OR_RETURN(Row row, HeadRow(rule));
-      emitted.push_back(std::move(row));
+      NERPA_ASSIGN_OR_RETURN(RowView row, HeadRow(rule));
+      emitted.emplace_back(row);
     }
     return Status::Ok();
   }
@@ -1526,7 +1443,7 @@ class Engine::Txn {
       i = j;
     }
     RelState& state = e_.relations_[static_cast<size_t>(rel)];
-    state.counts.reserve(unique);
+    state.counts.reserve(unique, emitted.front().size());
     const RelationDecl& decl = program_.relations()[static_cast<size_t>(rel)];
     SetDelta* delta = nullptr;
     if (decl.role == RelationRole::kOutput) {
@@ -1537,8 +1454,7 @@ class Engine::Txn {
       size_t j = i + 1;
       while (j < emitted.size() && emitted[i] == emitted[j]) ++j;
       if (delta != nullptr) delta->emplace_back(emitted[i], +1);
-      state.counts.try_emplace(std::move(emitted[i]),
-                               static_cast<int64_t>(j - i));
+      state.counts.try_emplace(emitted[i], static_cast<int64_t>(j - i));
       i = j;
     }
     BuildArrangements(rel);
@@ -1584,7 +1500,7 @@ class Engine::Txn {
             }
             if (has_scc_positive) continue;  // fires only via the worklist
             auto emit = [&]() -> Status {
-              NERPA_ASSIGN_OR_RETURN(Row head, HeadRow(rule));
+              NERPA_ASSIGN_OR_RETURN(RowView head, HeadRow(rule));
               insert(rule.head_relation, head);
               return Status::Ok();
             };
@@ -1617,7 +1533,6 @@ class Engine::Txn {
       state.dirty = false;
       state.counts = ZSet{};
       state.set_delta = ZSet{};
-      state.txn_deleted.clear();
       for (Arrangement& arr : state.arrangements) {
         arr.index = {};
         arr.flips = {};
@@ -1629,6 +1544,7 @@ class Engine::Txn {
     bootstrap_emit_ = std::vector<Row>{};
     bootstrap_delta_ = TxnDelta{};
     fold_log_.clear();
+    fold_values_.clear();
     agg_log_.clear();
     e_.pending_.clear();
   }
@@ -1656,11 +1572,6 @@ class Engine::Txn {
       RelState& state = e_.relations_[static_cast<size_t>(rel)];
       state.dirty = false;
       state.set_delta.clear();
-      if (state.txn_deleted.capacity() > 1024) {
-        std::vector<Row>{}.swap(state.txn_deleted);
-      } else {
-        state.txn_deleted.clear();
-      }
       for (Arrangement& arr : state.arrangements) {
         arr.flips.clear();
         ResetTxnMap(arr.deleted);
@@ -1675,15 +1586,16 @@ class Engine::Txn {
   std::vector<Value> frame_;
   std::vector<char> bound_;
 
-  /// Undo log: every fold applied this transaction; replayed in reverse
-  /// (with logging off) if the transaction errors.
+  /// Undo log: each count change this transaction folded, with its row's
+  /// values appended to fold_values_ in the same order; replayed in
+  /// reverse (with logging off) if the transaction errors.
   struct FoldRecord {
     int rel;
-    Row row;
-    int64_t weight;  // set-level: the +-1 direction; count-level: the weight
-    bool set_level;
+    uint32_t arity;  // the row's value count
+    int64_t weight;  // new count - old count
   };
   std::vector<FoldRecord> fold_log_;
+  std::vector<Value> fold_values_;
   /// Undo log for persistent aggregation state.
   struct AggRecord {
     int state_index;
@@ -1699,7 +1611,9 @@ class Engine::Txn {
   std::vector<ValueVec> key_buffers_;  // per-step-depth probe-key buffers
   std::vector<std::vector<int>> trail_buffers_;  // per-step-depth match
                                                  // trails (no per-row alloc)
-  ZSet head_scratch_;                  // head-delta accumulator (reused)
+  ValueVec head_buf_;                  // HeadRow's result
+  ZSet delta_scratch_;                 // one fold's delta at a time (heads,
+                                       // netted inputs, undo), else empty
   std::vector<Row> bootstrap_emit_;    // bootstrap head-row accumulator
   TxnDelta bootstrap_delta_;           // bootstrap output deltas (pre-sorted
                                        // by the stratum fold)
@@ -1866,7 +1780,7 @@ void PutValue(std::string& out, const Value& v) {
   }
 }
 
-void PutRow(std::string& out, const Row& row) {
+void PutRow(std::string& out, RowView row) {
   PutU32(out, static_cast<uint32_t>(row.size()));
   for (size_t i = 0; i < row.size(); ++i) PutValue(out, row[i]);
 }
@@ -2035,7 +1949,7 @@ Result<std::unique_ptr<Engine>> Engine::Restore(
     uint64_t nrows = r.U64();
     if (!r.Need(nrows)) return corrupt("truncated relation");
     ZSet& counts = engine->relations_[rel].counts;
-    counts.reserve(nrows);
+    counts.reserve(nrows, decl.columns.size());
     for (uint64_t i = 0; i < nrows; ++i) {
       Row row;
       if (!r.ReadRow(row)) return corrupt("truncated row");
@@ -2044,7 +1958,7 @@ Result<std::unique_ptr<Engine>> Engine::Restore(
       if (!r.ok || !ValidCount(count)) {
         return corrupt("bad derivation count");
       }
-      counts.try_emplace(std::move(row), count);
+      counts.try_emplace(row, count);
     }
     int key = engine->program_->key_arrangement(static_cast<int>(rel));
     if (key >= 0) {
@@ -2087,7 +2001,7 @@ Result<std::unique_ptr<Engine>> Engine::Restore(
       ZSet& bindings = agg.groups[std::move(group)];
       uint64_t nbindings = r.U64();
       if (!r.Need(nbindings)) return corrupt("truncated group");
-      bindings.reserve(nbindings);
+      bindings.reserve(nbindings, agg_steps[a]->binding_types.size());
       for (uint64_t b = 0; b < nbindings; ++b) {
         Row binding;
         if (!r.ReadRow(binding)) return corrupt("truncated binding");
@@ -2098,7 +2012,7 @@ Result<std::unique_ptr<Engine>> Engine::Restore(
         if (!r.ok || !ValidCount(count)) {
           return corrupt("bad binding count");
         }
-        bindings[std::move(binding)] = count;
+        bindings[binding] = count;
       }
     }
   }
@@ -2118,7 +2032,7 @@ Result<std::vector<Row>> Engine::Dump(std::string_view relation) const {
   std::vector<Row> rows;
   rows.reserve(relations_[static_cast<size_t>(rel)].counts.size());
   for (const auto& [row, count] : relations_[static_cast<size_t>(rel)].counts) {
-    rows.push_back(row);
+    rows.emplace_back(row);
   }
   std::sort(rows.begin(), rows.end(), RowLess);
   return rows;
@@ -2127,7 +2041,8 @@ Result<std::vector<Row>> Engine::Dump(std::string_view relation) const {
 bool Engine::Contains(std::string_view relation, const Row& row) const {
   int rel = RelationId(relation);
   if (rel < 0) return false;
-  return relations_[static_cast<size_t>(rel)].counts.count(row) != 0;
+  return relations_[static_cast<size_t>(rel)].counts.count(row, row.Hash()) !=
+         0;
 }
 
 size_t Engine::Size(std::string_view relation) const {

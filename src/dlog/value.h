@@ -184,10 +184,11 @@ inline size_t HashValueRange(const Value* data, size_t size) {
 }
 
 /// A relation row: a flat run of values with a memoized content hash, so
-/// z-set and arrangement probes hash each row at most once per mutation.
+/// probes hash each row at most once per mutation.
 /// Values are trivially copyable, so Row keeps up to kInline of them in a
-/// small inline buffer: typical rows copy by memcpy with no heap traffic,
-/// and a z-set's dense entry array holds their values in place.
+/// small inline buffer: typical rows copy by memcpy with no heap traffic.
+/// The engine's z-sets and commit logs hold values flat by arity instead
+/// (engine.h), so Rows remain at its API and in arrangement buckets.
 class Row {
  public:
   using const_iterator = const Value*;
@@ -198,6 +199,9 @@ class Row {
     Assign(elems.begin(), elems.size());
   }
   explicit Row(const ValueVec& elems) { Assign(elems.data(), elems.size()); }
+  explicit Row(std::span<const Value> values) {
+    Assign(values.data(), values.size());
+  }
   Row(const Value* data, size_t n) { Assign(data, n); }
 
   Row(const Row& o) {

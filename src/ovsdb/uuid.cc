@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cctype>
 
-#include "common/strings.h"
-
 namespace nerpa::ovsdb {
 
 namespace {
@@ -56,12 +54,17 @@ std::optional<Uuid> Uuid::Parse(std::string_view text) {
 }
 
 std::string Uuid::ToString() const {
-  return StrFormat("%08x-%04x-%04x-%04x-%012llx",
-                   static_cast<uint32_t>(hi >> 32),
-                   static_cast<uint32_t>((hi >> 16) & 0xFFFF),
-                   static_cast<uint32_t>(hi & 0xFFFF),
-                   static_cast<uint32_t>(lo >> 48),
-                   static_cast<unsigned long long>(lo & 0xFFFFFFFFFFFFULL));
+  // hi's then lo's 16 lowercase hex digits, most significant first, with
+  // dashes after the 8th, 12th, 16th and 20th.
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out(36, '-');
+  size_t pos = 0;
+  for (int nibble = 0; nibble < 32; ++nibble) {
+    if (pos == 8 || pos == 13 || pos == 18 || pos == 23) ++pos;
+    uint64_t word = nibble < 16 ? hi : lo;
+    out[pos++] = kHex[(word >> (60 - 4 * (nibble % 16))) & 0xF];
+  }
+  return out;
 }
 
 }  // namespace nerpa::ovsdb

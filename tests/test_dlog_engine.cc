@@ -509,73 +509,89 @@ TEST(DlogCompile, RejectsRuleForInputRelation) {
 // ZSet, the flat row -> weight map, against std::unordered_map.
 // ---------------------------------------------------------------------------
 
-/// `count` rows whose hashes agree in their low 10 bits on 1020..1023, so
-/// at every slot count up to 1024 their homes are the last four slots:
-/// probe runs wrap past the end of the slot array, and backward-shift
-/// deletion moves entries across the wrap.
-std::vector<Row> RowsHomedAtTheEnd(size_t count) {
+/// Row `i` of `arity` columns: i, then `tag` and i's multiples in turn.
+Row WideRow(int64_t i, size_t arity, const char* tag) {
+  Row row;
+  for (size_t c = 0; c < arity; ++c) {
+    row.push_back(c % 2 == 1 ? S(tag) : I(i * static_cast<int64_t>(c + 1)));
+  }
+  return row;
+}
+
+/// `count` rows of `arity` columns whose hashes agree in their low 10 bits
+/// on 1020..1023, so at every slot count up to 1024 their homes are the
+/// last four slots: probe runs wrap past the end of the slot array, and
+/// backward-shift deletion moves entries across the wrap.  Arity 0 has
+/// the one row ().
+std::vector<Row> RowsHomedAtTheEnd(size_t count, size_t arity) {
+  if (arity == 0) return {Row()};
   std::vector<Row> rows;
   for (int64_t i = 0; rows.size() < count; ++i) {
-    Row row = R({I(i), S("wrap")});
+    Row row = WideRow(i, arity, "wrap");
     if ((row.Hash() & 1023) >= 1020) rows.push_back(row);
   }
   return rows;
 }
 
 TEST(FlatZSet, MatchesUnorderedMapUnderCollidingHashes) {
-  std::vector<Row> pool = RowsHomedAtTheEnd(96);
-  for (int64_t i = 0; i < 32; ++i) pool.push_back(R({I(-i)}));
-  ZSet zset;
-  std::unordered_map<Row, int64_t, RowHash, RowEq> model;
-  std::mt19937_64 rng(24);
-  for (int op = 0; op < 20000; ++op) {
-    const Row& row = pool[rng() % pool.size()];
-    int64_t weight = static_cast<int64_t>(rng() % 7) - 3;
-    switch (rng() % 64) {
-      case 0:
-        zset.clear();
-        model.clear();
-        break;
-      case 1: case 2: case 3: case 4: case 5: case 6: case 7: case 8:
-      case 9: case 10: case 11: case 12: case 13: case 14: case 15: {
-        auto [it, inserted] = zset.try_emplace(row, weight);
-        auto [mit, minserted] = model.try_emplace(row, weight);
-        ASSERT_EQ(inserted, minserted) << "op " << op;
-        ASSERT_EQ(it->first, row);
-        ASSERT_EQ(it->second, mit->second);
-        break;
-      }
-      case 16: case 17: case 18: case 19: case 20: case 21: case 22:
-      case 23: case 24: case 25: case 26: case 27: case 28: case 29:
-        ASSERT_EQ(zset[row] += weight, model[row] += weight) << "op " << op;
-        break;
-      case 30: case 31: case 32: case 33: case 34: case 35: case 36:
-      case 37: case 38: case 39: case 40: case 41: case 42: case 43:
-      case 44: case 45: case 46:
-        ASSERT_EQ(zset.erase(row), model.erase(row)) << "op " << op;
-        break;
-      default: {
-        // Erase through an iterator found by a borrowed key.
-        auto it = zset.find(row.span());
-        ASSERT_EQ(it == zset.end(), model.count(row) == 0) << "op " << op;
-        if (it != zset.end()) {
-          zset.erase(it);
-          model.erase(row);
+  for (size_t arity : {0, 1, 3, 4, 6, 8}) {
+    SCOPED_TRACE(testing::Message() << "arity " << arity);
+    std::vector<Row> pool = RowsHomedAtTheEnd(96, arity);
+    for (int64_t i = 0; i < 32 && arity > 0; ++i) {
+      pool.push_back(WideRow(-i - 1, arity, "plain"));
+    }
+    ZSet zset;
+    std::unordered_map<Row, int64_t, RowHash, RowEq> model;
+    std::mt19937_64 rng(24);
+    for (int op = 0; op < 20000; ++op) {
+      const Row& row = pool[rng() % pool.size()];
+      int64_t weight = static_cast<int64_t>(rng() % 7) - 3;
+      switch (rng() % 64) {
+        case 0:
+          zset.clear();
+          model.clear();
+          break;
+        case 1: case 2: case 3: case 4: case 5: case 6: case 7: case 8:
+        case 9: case 10: case 11: case 12: case 13: case 14: case 15: {
+          auto [it, inserted] = zset.try_emplace(row, weight);
+          auto [mit, minserted] = model.try_emplace(row, weight);
+          ASSERT_EQ(inserted, minserted) << "op " << op;
+          ASSERT_EQ(Row(it->first), row);
+          ASSERT_EQ(it->second, mit->second);
+          break;
         }
-        break;
+        case 16: case 17: case 18: case 19: case 20: case 21: case 22:
+        case 23: case 24: case 25: case 26: case 27: case 28: case 29:
+          ASSERT_EQ(zset[row] += weight, model[row] += weight) << "op " << op;
+          break;
+        case 30: case 31: case 32: case 33: case 34: case 35: case 36:
+        case 37: case 38: case 39: case 40: case 41: case 42: case 43:
+        case 44: case 45: case 46:
+          ASSERT_EQ(zset.erase(row), model.erase(row)) << "op " << op;
+          break;
+        default: {
+          // Erase through an iterator found by a borrowed key.
+          auto it = zset.find(row.span());
+          ASSERT_EQ(it == zset.end(), model.count(row) == 0) << "op " << op;
+          if (it != zset.end()) {
+            zset.erase(it);
+            model.erase(row);
+          }
+          break;
+        }
       }
-    }
-    ASSERT_EQ(zset.size(), model.size()) << "op " << op;
-    // Iteration visits every live row exactly once, with its weight.
-    std::unordered_map<Row, int64_t, RowHash, RowEq> seen;
-    for (const auto& [r, w] : zset) {
-      ASSERT_TRUE(seen.emplace(r, w).second) << "op " << op << ": twice";
-    }
-    ASSERT_EQ(seen, model) << "op " << op;
-    for (const Row& probe : pool) {
-      auto it = zset.find(probe);
-      ASSERT_EQ(it == zset.end(), model.count(probe) == 0) << "op " << op;
-      ASSERT_EQ(zset.count(probe), model.count(probe)) << "op " << op;
+      ASSERT_EQ(zset.size(), model.size()) << "op " << op;
+      // Iteration visits every live row exactly once, with its weight.
+      std::unordered_map<Row, int64_t, RowHash, RowEq> seen;
+      for (const auto& [r, w] : zset) {
+        ASSERT_TRUE(seen.emplace(Row(r), w).second) << "op " << op << ": twice";
+      }
+      ASSERT_EQ(seen, model) << "op " << op;
+      for (const Row& probe : pool) {
+        auto it = zset.find(probe);
+        ASSERT_EQ(it == zset.end(), model.count(probe) == 0) << "op " << op;
+        ASSERT_EQ(zset.count(probe), model.count(probe)) << "op " << op;
+      }
     }
   }
 }
@@ -600,8 +616,72 @@ TEST(FlatZSet, ClearReleasesOnlyCapacityFarAboveTheSizeCleared) {
   // Cleared empty, it releases everything.
   zset.clear();
   EXPECT_EQ(zset.slot_count(), 0u);
-  EXPECT_EQ(zset.find(R({I(1)})), zset.end());
+  EXPECT_TRUE(zset.find(R({I(1)})) == zset.end());
   EXPECT_EQ(zset.erase(R({I(1)})), 0u);
+}
+
+TEST(FlatZSet, ClearedMapTakesTheArityOfItsNextRow) {
+  ZSet zset;
+  for (size_t arity : {6, 2, 0, 8, 1}) {
+    SCOPED_TRACE(testing::Message() << "arity " << arity);
+    zset.clear();
+    const int64_t rows = arity == 0 ? 1 : 50;
+    for (int64_t i = 0; i < rows; ++i) {
+      ASSERT_TRUE(zset.try_emplace(WideRow(i, arity, "x"), i + 1).second);
+    }
+    ASSERT_EQ(zset.size(), static_cast<size_t>(rows));
+    for (int64_t i = 0; i < rows; ++i) {
+      auto it = zset.find(WideRow(i, arity, "x"));
+      ASSERT_FALSE(it == zset.end());
+      EXPECT_EQ(it->first.size(), arity);
+      EXPECT_EQ(Row(it->first), WideRow(i, arity, "x"));
+      EXPECT_EQ(it->second, i + 1);
+    }
+    // Add() drops an entry whose weight sums to zero.
+    EXPECT_EQ(zset.Add(WideRow(0, arity, "x"), -1), 0);
+    EXPECT_EQ(zset.count(WideRow(0, arity, "x")), 0u);
+    EXPECT_EQ(zset.size(), static_cast<size_t>(rows - 1));
+    size_t visited = 0;
+    for (const auto& [row, weight] : zset) {
+      EXPECT_EQ(row.size(), arity);
+      EXPECT_GT(weight, 1);
+      ++visited;
+    }
+    EXPECT_EQ(visited, zset.size());
+  }
+}
+
+TEST(DlogEngine, ZeroColumnRelation) {
+  auto program = MustParse(R"(
+    input relation A(x: bigint)
+    output relation Any()
+    Any() :- A(_).
+  )");
+  Engine engine(program);
+  ASSERT_TRUE(engine.Insert("A", R({I(1)})).ok());
+  ASSERT_TRUE(engine.Insert("A", R({I(2)})).ok());
+  auto delta = engine.Commit();
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  ASSERT_EQ(delta->outputs["Any"].size(), 1u);
+  EXPECT_EQ(delta->outputs["Any"][0], std::make_pair(Row(), +1));
+  EXPECT_TRUE(engine.Contains("Any", Row()));
+  // One of two supports goes: Any() stays, with no delta.
+  ASSERT_TRUE(engine.Delete("A", R({I(1)})).ok());
+  delta = engine.Commit();
+  ASSERT_TRUE(delta.ok());
+  EXPECT_TRUE(delta->outputs["Any"].empty());
+  // The last one goes, and so does Any().
+  ASSERT_TRUE(engine.Delete("A", R({I(2)})).ok());
+  delta = engine.Commit();
+  ASSERT_TRUE(delta.ok());
+  ASSERT_EQ(delta->outputs["Any"].size(), 1u);
+  EXPECT_EQ(delta->outputs["Any"][0], std::make_pair(Row(), -1));
+  EXPECT_EQ(engine.Size("Any"), 0u);
+  auto restored = Engine::Restore(program, engine.SerializeState());
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE((*restored)->Insert("A", R({I(3)})).ok());
+  ASSERT_TRUE((*restored)->Commit().ok());
+  EXPECT_EQ(*(*restored)->Dump("Any"), std::vector<Row>{Row()});
 }
 
 }  // namespace

@@ -66,6 +66,32 @@ TEST(Uuid, ParseRoundTrip) {
   EXPECT_NE(Uuid::Generate(), Uuid::Generate());
 }
 
+TEST(Uuid, ToStringMatchesPrintfFormat) {
+  std::vector<Uuid> uuids = {Uuid{}, Uuid{~0ULL, ~0ULL}};
+  // Every value at every single nibble, the rest zero.
+  for (int nibble = 0; nibble < 32; ++nibble) {
+    for (uint64_t v = 1; v < 16; ++v) {
+      uint64_t word = v << (4 * (nibble % 16));
+      uuids.push_back(nibble < 16 ? Uuid{word, 0} : Uuid{0, word});
+    }
+  }
+  std::mt19937_64 rng(26);
+  for (int i = 0; i < 10000; ++i) uuids.push_back(Uuid{rng(), rng()});
+  for (const Uuid& uuid : uuids) {
+    std::string printf_text = StrFormat(
+        "%08x-%04x-%04x-%04x-%012llx", static_cast<uint32_t>(uuid.hi >> 32),
+        static_cast<uint32_t>((uuid.hi >> 16) & 0xFFFF),
+        static_cast<uint32_t>(uuid.hi & 0xFFFF),
+        static_cast<uint32_t>(uuid.lo >> 48),
+        static_cast<unsigned long long>(uuid.lo & 0xFFFFFFFFFFFFULL));
+    std::string text = uuid.ToString();
+    ASSERT_EQ(text, printf_text);
+    auto parsed = Uuid::Parse(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    ASSERT_EQ(*parsed, uuid) << text;
+  }
+}
+
 TEST(Datum, SetCanonicalization) {
   Datum set = Datum::Set({Atom(int64_t{3}), Atom(int64_t{1}),
                           Atom(int64_t{3}), Atom(int64_t{2})});
