@@ -146,14 +146,10 @@ int Run(const char* self, const BenchArgs& args) {
     table.AddRow({"delta rows/s", StrFormat("%.0f", delta_rows_per_sec)});
     table.AddRow({"probes/s", StrFormat("%.0f", probes_per_sec)});
     table.Print();
-    std::printf(
-        "probe detail: %llu probes, %llu hits, %llu scratch-key probes "
-        "(each was a heap-allocated key Row before)\n\n",
-        static_cast<unsigned long long>(probes),
-        static_cast<unsigned long long>(after_stats.probe_hits -
-                                        before_stats.probe_hits),
-        static_cast<unsigned long long>(after_stats.key_allocs_saved -
-                                        before_stats.key_allocs_saved));
+    std::printf("probe detail: %llu probes, %llu hits\n\n",
+                static_cast<unsigned long long>(probes),
+                static_cast<unsigned long long>(after_stats.probe_hits -
+                                                before_stats.probe_hits));
 
     emitter.Metric("join_commits_per_s", commits_per_sec);
     emitter.Metric("join_delta_rows_per_s", delta_rows_per_sec);

@@ -56,20 +56,6 @@ class Engine::Txn {
   /// Which snapshot of a relation a lookup reads.
   enum class Mode { kOld, kNew };
 
-  /// Overlay for relations inside the recursive stratum being processed:
-  /// rows in `removed` (unless also in `removed_except`) are hidden, rows in
-  /// `added` are visible.  The base is always the pre-fold state.
-  struct RelOverlay {
-    const RowSet* removed = nullptr;
-    const RowSet* removed_except = nullptr;
-    const RowSet* added = nullptr;
-    // Per-arrangement index of `added` rows (parallel to the relation's
-    // arrangement list).
-    const std::vector<std::unordered_map<Row, std::vector<Row>, RowHash,
-                                         RowEq>>* added_index = nullptr;
-  };
-  using Overlay = std::unordered_map<int, RelOverlay>;
-
   explicit Txn(Engine* engine)
       : e_(*engine), program_(*engine->program_) {
     // Pre-size the per-step-depth scratch buffers to the deepest rule body,
@@ -87,16 +73,24 @@ class Engine::Txn {
   /// is the only selector between the bootstrap and incremental paths.
   Result<TxnDelta> Run() {
     ApplyKeys();
-    if (EngineIsEmpty()) return RunBootstrap();
-    Status status = Execute();
+    const bool bootstrap = EngineIsEmpty();
+    Status status = bootstrap ? ExecuteBootstrap() : Execute();
     if (!status.ok()) {
       // Failed Commit() contract: undo every partial effect so the engine
       // is byte-identical to its pre-transaction state.
-      Rollback();
-      Cleanup();
+      if (bootstrap) {
+        WipeToEmpty();
+      } else {
+        Rollback();
+        Cleanup();
+      }
       return status;
     }
+    // The bootstrap's non-recursive strata emit their sorted output deltas
+    // as they fold; every other fold leaves its transitions in set_delta.
     TxnDelta out = CollectOutputs();
+    out.outputs.merge(bootstrap_delta_.outputs);
+    bootstrap_delta_.outputs.clear();
     ResetLogs();
     Cleanup();
     ++e_.transactions_;
@@ -118,7 +112,6 @@ class Engine::Txn {
         RowView key = ProjectInto(row, positions, arr_key_buf_);
         auto it = arr.index.find(key);
         if (it == arr.index.end()) {
-          ++e_.key_rows_materialized_;
           it = arr.index.emplace(MaterializeKey(key), RowSet{}).first;
         }
         it->second.emplace(row);
@@ -160,7 +153,6 @@ class Engine::Txn {
   /// logging disabled), restoring derivation counts, arrangements, and
   /// aggregation state exactly.
   void Rollback() {
-    overlay_ = nullptr;
     ZSet& inverse = delta_scratch_;
     inverse.clear();  // a failed stratum may leave heads behind
     rolling_back_ = true;
@@ -225,7 +217,6 @@ class Engine::Txn {
         if (direction > 0) {
           auto it = arr.index.find(key);
           if (it == arr.index.end()) {
-            ++e_.key_rows_materialized_;
             it = arr.index.emplace(MaterializeKey(key), RowSet{}).first;
             if (spec.records_flips) arr.flips.Add(key, +1);
           }
@@ -239,7 +230,6 @@ class Engine::Txn {
           if (spec.records_deleted) {
             auto del = arr.deleted.find(key);
             if (del == arr.deleted.end()) {
-              ++e_.key_rows_materialized_;
               del = arr.deleted.emplace(MaterializeKey(key),
                                         std::vector<Row>{}).first;
             }
@@ -301,32 +291,16 @@ class Engine::Txn {
     return Status::Ok();
   }
 
-  // --- Reading relations (old/new + overlay) ---
-
-  const RelOverlay* FindOverlay(int rel) const {
-    if (overlay_ == nullptr) return nullptr;
-    auto it = overlay_->find(rel);
-    return it == overlay_->end() ? nullptr : &it->second;
-  }
-
-  static bool OverlayHides(const RelOverlay& ov, RowView row) {
-    if (ov.removed != nullptr && ov.removed->count(row) != 0) {
-      return !(ov.removed_except != nullptr &&
-               ov.removed_except->count(row) != 0);
-    }
-    return false;
-  }
+  // --- Reading relations (old/new) ---
 
   /// Invokes `fn(row)` for every row of `rel` matching `key` under the
-  /// given arrangement, mode and the active overlay.  `key` is a borrowed
-  /// view (scratch buffer or a Row's span) — probes never materialize a
-  /// key Row.  `fn` returns false to stop early; ForEachMatch then returns
-  /// false.
+  /// given arrangement and mode.  `key` is a borrowed view (scratch buffer
+  /// or a Row's span) — probes never materialize a key Row.  `fn` returns
+  /// false to stop early; ForEachMatch then returns false.
   template <typename Fn>
   bool ForEachMatch(int rel, int arrangement, RowView key, Mode mode,
                     Fn&& fn) {
     RelState& state = e_.relations_[static_cast<size_t>(rel)];
-    const RelOverlay* ov = FindOverlay(rel);
     // OLD-mode reads skip the rows this transaction inserted and add back
     // the ones it deleted; hoist the (common) no-delta case so clean
     // relations pay no per-row lookup.
@@ -334,14 +308,12 @@ class Engine::Txn {
         mode == Mode::kOld && !state.set_delta.empty() ? &state.set_delta
                                                        : nullptr;
     auto visible = [&](RowView row, size_t hash) {
-      if (ov != nullptr && OverlayHides(*ov, row)) return false;
       if (txn_delta == nullptr) return true;
       auto d = txn_delta->find(row, hash);
       return d == txn_delta->end() || d->second < 0;
     };
     if (arrangement >= 0 && e_.options_.use_arrangements) {
       ++e_.probes_;
-      ++e_.key_allocs_saved_;
       Arrangement& arr = state.arrangements[static_cast<size_t>(arrangement)];
       auto bucket = arr.index.find(key);
       if (bucket != arr.index.end()) {
@@ -354,17 +326,11 @@ class Engine::Txn {
         auto deleted = arr.deleted.find(key);
         if (deleted != arr.deleted.end()) {
           for (const Row& row : deleted->second) {
-            if (!fn(row)) return false;
-          }
-        }
-      }
-      if (ov != nullptr && ov->added_index != nullptr) {
-        const auto& added_arr =
-            (*ov->added_index)[static_cast<size_t>(arrangement)];
-        auto added = added_arr.find(key);
-        if (added != added_arr.end()) {
-          for (const Row& row : added->second) {
-            if (!fn(row)) return false;
+            // A recursive stratum re-derives some rows it deleted; the
+            // bucket holds those again, so they were read above.
+            if (state.counts.count(row, row.Hash()) == 0 && !fn(row)) {
+              return false;
+            }
           }
         }
       }
@@ -396,11 +362,6 @@ class Engine::Txn {
     if (txn_delta != nullptr) {
       for (const auto& [row, d] : *txn_delta) {
         if (d < 0 && matches_key(row) && !fn(row)) return false;
-      }
-    }
-    if (ov != nullptr && ov->added != nullptr) {
-      for (const Row& row : *ov->added) {
-        if (matches_key(row) && !fn(row)) return false;
       }
     }
     return true;
@@ -591,9 +552,9 @@ class Engine::Txn {
   }
 
   bool RelationNonEmpty(int rel, Mode mode) {
-    RelState& state = e_.relations_[static_cast<size_t>(rel)];
-    const RelOverlay* ov = FindOverlay(rel);
-    if (mode == Mode::kNew && ov == nullptr) return !state.counts.empty();
+    if (mode == Mode::kNew) {
+      return !e_.relations_[static_cast<size_t>(rel)].counts.empty();
+    }
     // Rare path: count visible rows until one is found.
     bool found = false;
     ForEachMatch(rel, -1, RowView{}, mode, [&](RowView) {
@@ -686,8 +647,9 @@ class Engine::Txn {
 
     RelState& pinned_state =
         e_.relations_[static_cast<size_t>(pinned.relation)];
-    // The pinned changes are read in place: no fold runs until every rule
-    // of the stratum has fired, so no set_delta or flips moves meanwhile.
+    // The pinned changes are read in place: a stratum folds only its own
+    // relations, never while a pass runs, and a recursive one pins only
+    // lower relations here, so no set_delta or flips moves meanwhile.
     if (!pinned.negated) {
       // The pinned step is skipped by ExecSteps, so its trail is free.
       std::vector<int>& trail =
@@ -894,24 +856,16 @@ class Engine::Txn {
     return folded;
   }
 
-  // --- Recursive strata: semi-naive insertion + DRed deletion ---
+  // --- Recursive strata: DRed on the live state ---
+  //
+  // A recursive stratum changes its relations only through Fold, at set
+  // level, as every other stratum does: the undo log, set_delta, the
+  // arrangements and their flips track it, and OLD reads still see the
+  // state before the commit.
 
-  struct SccWork {
-    RowSet overdeleted;
-    RowSet rederived;
-    RowSet inserted;
-    std::vector<std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>>
-        inserted_index;  // parallel to the relation's arrangements
-  };
-  using SccWorkMap = std::unordered_map<int, SccWork>;
-
-  SccWorkMap NewSccWork(const Stratum& stratum) const {
-    SccWorkMap work;
-    for (int rel : stratum.relations) {
-      work[rel].inserted_index.resize(
-          program_.arrangements()[static_cast<size_t>(rel)].size());
-    }
-    return work;
+  static bool InStratum(const Stratum& stratum, int rel) {
+    return std::ranges::find(stratum.relations, rel) !=
+           stratum.relations.end();
   }
 
   /// Fires every rule of `stratum` pinned (positively) on tuple `row` of
@@ -947,83 +901,64 @@ class Engine::Txn {
     return Status::Ok();
   }
 
-  /// Semi-naive insertion for one recursive stratum over the base state
-  /// minus `work`'s overdeleted (and not rederived) tuples: `seed(insert)`
-  /// derives the first tuples, then every rule pinned on each newly
-  /// inserted tuple fires, reading NEW, until nothing new appears.  New
-  /// tuples collect in work[rel].inserted.  Shared by the incremental path
-  /// and the bootstrap, which differ only in how they seed.
+  /// Runs one DRed phase of `stratum` to its fixpoint: deleting (direction
+  /// -1, every literal read OLD) or inserting (+1, read NEW).
+  /// `seed(derive)` hands over the first heads; then every rule pinned on
+  /// each tuple the phase changed fires.  A pass reads the arrangements its
+  /// heads would change, so they fold in once it returns.  A head already
+  /// absent (deleting) or present (inserting) changes nothing and fires
+  /// nothing.  The incremental path and the bootstrap share the insertion.
   template <typename Seed>
-  Status InsertSemiNaive(const Stratum& stratum, SccWorkMap& work,
-                         Seed&& seed) {
-    Overlay overlay;
-    for (auto& [rel, w] : work) {
-      RelOverlay& ov = overlay[rel];
-      ov.removed = &w.overdeleted;
-      ov.removed_except = &w.rederived;
-      ov.added = &w.inserted;
-      ov.added_index = &w.inserted_index;
-    }
-    std::vector<std::pair<int, Row>> derived;   // heads of the running pass
-    std::vector<std::pair<int, Row>> worklist;  // (relation, tuple)
-    auto insert = [&](int rel, RowView row) {
-      derived.emplace_back(rel, row);
+  Status Propagate(const Stratum& stratum, int direction, Seed&& seed) {
+    const Mode mode = direction < 0 ? Mode::kOld : Mode::kNew;
+    std::vector<std::pair<int, Row>> derived;   // heads of the last pass
+    std::vector<std::pair<int, Row>> worklist;  // changed, yet to fire
+    auto derive = [&](int rel, RowView head) {
+      derived.emplace_back(rel, head);
     };
-    // A pass iterates the overlay's containers, so the heads it derives
-    // join the overlay only after it returns.  Each new tuple still meets
-    // every other one: the later of the two fires with the earlier visible.
-    auto flush = [&] {
-      for (auto& [rel, row] : derived) {
-        SccWork& w = work[rel];
-        if (w.inserted.count(row) != 0) continue;
-        // Present in the working state already?
-        RelState& state = e_.relations_[static_cast<size_t>(rel)];
-        bool base_present = state.counts.count(row, row.Hash()) != 0 &&
-                            !(w.overdeleted.count(row) != 0 &&
-                              w.rederived.count(row) == 0);
-        if (base_present) continue;
-        w.inserted.insert(row);
-        const auto& specs =
-            program_.arrangements()[static_cast<size_t>(rel)];
-        for (size_t a = 0; a < specs.size(); ++a) {
-          RowView key =
-              ProjectInto(row, specs[a].key_positions, arr_key_buf_);
-          auto& index = w.inserted_index[a];
-          auto it = index.find(key);
-          if (it == index.end()) {
-            ++e_.key_rows_materialized_;
-            it = index.emplace(MaterializeKey(key), std::vector<Row>{}).first;
+    NERPA_RETURN_IF_ERROR(seed(derive));
+    while (true) {
+      ZSet& delta = delta_scratch_;
+      for (int rel : stratum.relations) {
+        const ZSet& counts = e_.relations_[static_cast<size_t>(rel)].counts;
+        for (auto& [head_rel, row] : derived) {
+          if (head_rel != rel) continue;
+          const size_t hash = row.Hash();
+          if ((counts.count(row, hash) != 0) == (direction > 0)) continue;
+          if (delta.try_emplace(row, direction, hash).second) {
+            worklist.emplace_back(rel, std::move(row));
           }
-          it->second.push_back(row);
         }
-        worklist.emplace_back(rel, std::move(row));
+        Status folded = Fold(rel, delta, /*set_level=*/true);
+        delta.clear();
+        NERPA_RETURN_IF_ERROR(folded);
       }
       derived.clear();
-    };
-    overlay_ = &overlay;
-    Status status = seed(insert);
-    flush();
-    while (status.ok() && !worklist.empty()) {
+      if (worklist.empty()) return Status::Ok();
       auto [rel, row] = std::move(worklist.back());
       worklist.pop_back();
-      status = FirePinnedOn(stratum, rel, row, Mode::kNew, insert);
-      flush();
+      NERPA_RETURN_IF_ERROR(FirePinnedOn(stratum, rel, row, mode, derive));
     }
-    overlay_ = nullptr;
-    return status;
   }
 
+  /// Phase 1 overdeletes: the retractions through lower relations, and
+  /// every tuple they reach, fold out, all read OLD.  What it leaves is
+  /// part of the new fixpoint.  Phase 2 is one semi-naive insertion, read
+  /// NEW, seeded with the overdeleted tuples that still have a derivation
+  /// from that remainder and with the derivations through changed lower
+  /// tuples.  Any other one-step derivation of an absent tuple reads only
+  /// tuples present before the commit, so its head was present too, and
+  /// overdeleted: the seeds reach the new fixpoint with no re-derivation
+  /// loop.
   Status ProcessRecursive(const Stratum& stratum) {
-    SccWorkMap work = NewSccWork(stratum);
-    auto in_scc = [&](int rel) { return work.count(rel) != 0; };
-
     // Does any external dependency carry a delta?  (Cheap early-out.)
     bool external_change = false;
     for (int rule_index : stratum.rules) {
       const CompiledRule& rule =
           program_.rules()[static_cast<size_t>(rule_index)];
       for (const StepPlan& step : rule.steps) {
-        if (step.kind != BodyElem::Kind::kLiteral || in_scc(step.relation)) {
+        if (step.kind != BodyElem::Kind::kLiteral ||
+            InStratum(stratum, step.relation)) {
           continue;
         }
         RelState& state = e_.relations_[static_cast<size_t>(step.relation)];
@@ -1032,146 +967,79 @@ class Engine::Txn {
     }
     if (!external_change) return Status::Ok();
 
-    // ---- Phase 1: overdelete, then rederive (DRed). ----
-    // Seeds: retractions through external pins, everything read OLD.
-    std::vector<std::pair<int, Row>> worklist;  // (relation, tuple)
-    auto overdelete = [&](int rel, RowView row) {
-      SccWork& w = work[rel];
-      if (w.overdeleted.count(row) != 0) return;
-      RelState& state = e_.relations_[static_cast<size_t>(rel)];
-      if (state.counts.count(row) == 0) return;  // not present before txn
-      w.overdeleted.emplace(row);
-      worklist.emplace_back(rel, row);
-    };
-    // External pins drive one direction each phase: retractions here,
-    // derivations in phase 2.  (SCC pins fire through the worklists.)
-    auto for_external_pins = [&](Changes changes, Mode mode,
-                                 auto&& emit) -> Status {
+    // External pins drive one direction each phase: retractions read OLD,
+    // derivations NEW.  (SCC pins fire from Propagate's worklist.)
+    auto for_external_pins = [&](Changes changes, auto& derive) -> Status {
+      const Mode mode =
+          changes == Changes::kRetractions ? Mode::kOld : Mode::kNew;
       for (int rule_index : stratum.rules) {
         const CompiledRule& rule =
             program_.rules()[static_cast<size_t>(rule_index)];
         for (const DeltaPlan& plan : rule.delta_plans) {
-          if (in_scc(rule.steps[static_cast<size_t>(plan.pinned_step)]
-                         .relation)) {
+          if (InStratum(stratum,
+                        rule.steps[static_cast<size_t>(plan.pinned_step)]
+                            .relation)) {
             continue;
           }
           NERPA_RETURN_IF_ERROR(ProcessDeltaPlan(
               rule, plan, changes, mode, /*stop_at_aggregate=*/false,
               [&](int64_t) -> Status {
                 NERPA_ASSIGN_OR_RETURN(RowView head, HeadRow(rule));
-                emit(rule.head_relation, head);
+                derive(rule.head_relation, head);
                 return Status::Ok();
               }));
         }
       }
       return Status::Ok();
     };
-    NERPA_RETURN_IF_ERROR(
-        for_external_pins(Changes::kRetractions, Mode::kOld, overdelete));
-    // Propagate overdeletion through SCC literals (all OLD state).
-    while (!worklist.empty()) {
-      auto [rel, row] = std::move(worklist.back());
-      worklist.pop_back();
-      NERPA_RETURN_IF_ERROR(
-          FirePinnedOn(stratum, rel, row, Mode::kOld, overdelete));
-    }
 
-    // Rederive: a tuple survives if some rule body still derives it from
-    // the non-overdeleted remainder (externals read NEW).
-    Overlay rederive_overlay;
+    // ---- Phase 1: overdelete. ----
+    NERPA_RETURN_IF_ERROR(Propagate(stratum, -1, [&](auto& derive) {
+      return for_external_pins(Changes::kRetractions, derive);
+    }));
+
+    // ---- Phase 2: re-derive and insert. ----
+    // Until phase 2 folds, a relation's set_delta is its overdeleted rows.
+    size_t overdeleted = 0;
     for (int rel : stratum.relations) {
-      RelOverlay ov;
-      ov.removed = &work[rel].overdeleted;
-      ov.removed_except = &work[rel].rederived;
-      rederive_overlay[rel] = ov;
+      overdeleted += e_.relations_[static_cast<size_t>(rel)].set_delta.size();
     }
-    size_t total_overdeleted = 0;
-    for (int rel : stratum.relations) {
-      total_overdeleted += work[rel].overdeleted.size();
-    }
-    if (total_overdeleted <= 32) {
-      // Small overdeletion: per-tuple backward re-derivation is cheapest.
-      bool changed = true;
-      while (changed) {
-        changed = false;
+    return Propagate(stratum, +1, [&](auto& derive) -> Status {
+      if (overdeleted <= 32) {
+        // Small overdeletion: per-tuple backward re-derivation is cheapest.
         for (int rel : stratum.relations) {
-          SccWork& w = work[rel];
-          for (const Row& row : w.overdeleted) {
-            if (w.rederived.count(row) != 0) continue;
-            NERPA_ASSIGN_OR_RETURN(
-                bool derivable,
-                CanRederive(stratum, rel, row, &rederive_overlay));
-            if (derivable) {
-              w.rederived.insert(row);
-              changed = true;
-            }
+          for (const auto& [row, d] :
+               e_.relations_[static_cast<size_t>(rel)].set_delta) {
+            NERPA_ASSIGN_OR_RETURN(bool derivable,
+                                   CanRederive(stratum, rel, row));
+            if (derivable) derive(rel, row);
           }
         }
-      }
-    } else {
-      // Large overdeletion (dense graphs): forward semi-naive passes over
-      // the surviving state, keeping any head that was overdeleted but is
-      // still derivable.  Each pass is one full stratum evaluation; passes
-      // bound by the re-derivation depth.
-      overlay_ = &rederive_overlay;
-      bool changed = true;
-      while (changed) {
-        changed = false;
+      } else {
+        // Large overdeletion (dense graphs): one full evaluation per rule
+        // over the remainder, keeping the overdeleted heads.
         for (int rule_index : stratum.rules) {
           const CompiledRule& rule =
               program_.rules()[static_cast<size_t>(rule_index)];
-          SccWork& w = work[rule.head_relation];
-          auto keep = [&]() -> Status {
-            NERPA_ASSIGN_OR_RETURN(RowView head, HeadRow(rule));
-            if (w.overdeleted.count(head) != 0 &&
-                w.rederived.count(head) == 0) {
-              w.rederived.emplace(head);
-              changed = true;
-            }
-            return Status::Ok();
-          };
-          Status status = EvalFull(rule, /*stop_at_aggregate=*/false, keep);
-          overlay_ = nullptr;
-          NERPA_RETURN_IF_ERROR(status);
-          overlay_ = &rederive_overlay;
+          const ZSet& gone =
+              e_.relations_[static_cast<size_t>(rule.head_relation)]
+                  .set_delta;
+          if (gone.empty()) continue;
+          NERPA_RETURN_IF_ERROR(
+              EvalFull(rule, /*stop_at_aggregate=*/false, [&]() -> Status {
+                NERPA_ASSIGN_OR_RETURN(RowView head, HeadRow(rule));
+                if (gone.count(head) != 0) derive(rule.head_relation, head);
+                return Status::Ok();
+              }));
         }
       }
-      overlay_ = nullptr;
-    }
-
-    // ---- Phase 2: semi-naive insertion over the post-deletion state. ----
-    NERPA_RETURN_IF_ERROR(
-        InsertSemiNaive(stratum, work, [&](auto& insert) -> Status {
-          return for_external_pins(Changes::kDerivations, Mode::kNew,
-                                   insert);
-        }));
-
-    // ---- Fold the net changes. ----
-    ZSet& delta = delta_scratch_;
-    for (int rel : stratum.relations) {
-      SccWork& w = work[rel];
-      for (const Row& row : w.overdeleted) {
-        if (w.rederived.count(row) != 0) continue;
-        if (w.inserted.count(row) != 0) continue;  // net zero
-        delta.try_emplace(row, -1, row.Hash());
-      }
-      for (const Row& row : w.inserted) {
-        // An overdeleted tuple that phase 2 re-inserted was present all
-        // along: net zero, like the skip above.
-        if (w.overdeleted.count(row) != 0) continue;
-        delta.try_emplace(row, +1, row.Hash());
-      }
-      NERPA_RETURN_IF_ERROR(Fold(rel, delta, /*set_level=*/true));
-      delta.clear();
-    }
-    return Status::Ok();
+      return for_external_pins(Changes::kDerivations, derive);
+    });
   }
 
-  /// Is `row` of SCC relation `rel` derivable under `overlay` (externals
-  /// NEW)?  Uses the head-inverted re-derivation plan.
-  Result<bool> CanRederive(const Stratum& stratum, int rel, const Row& row,
-                           Overlay* overlay) {
-    overlay_ = overlay;
+  /// Is `row` of SCC relation `rel` derivable from the current state (every
+  /// literal read NEW)?  Uses the head-inverted re-derivation plan.
+  Result<bool> CanRederive(const Stratum& stratum, int rel, RowView row) {
     bool derivable = false;
     for (int rule_index : stratum.rules) {
       if (derivable) break;
@@ -1188,12 +1056,8 @@ class Engine::Txn {
           return FailedPrecondition("__found__");
         });
       });
-      if (!status.ok() && status.message() != "__found__") {
-        overlay_ = nullptr;
-        return status;
-      }
+      if (!status.ok() && status.message() != "__found__") return status;
     }
-    overlay_ = nullptr;
     return derivable;
   }
 
@@ -1303,10 +1167,12 @@ class Engine::Txn {
   // row that rollback could replace with "wipe to empty", and set-delta
   // bookkeeping tracks transitions that are all trivially 0 -> 1.  So a
   // transaction against an empty engine runs here instead: one full
-  // evaluation per rule in uniform NEW mode against the already-folded
-  // lower strata, bulk-built arrangements, and no per-row undo/delta
-  // bookkeeping.  Outputs are byte-identical to the incremental path
-  // (differential-tested); rollback is a wipe back to empty.
+  // evaluation per non-recursive rule in uniform NEW mode against the
+  // already-folded lower strata, bulk-built arrangements, and no per-row
+  // undo/delta bookkeeping.  A recursive stratum runs the incremental
+  // path's insertion phase from empty, through Fold.  Outputs are
+  // byte-identical to the incremental path (differential-tested); rollback
+  // is a wipe back to empty.
 
   bool EngineIsEmpty() const {
     for (const RelState& state : e_.relations_) {
@@ -1316,21 +1182,6 @@ class Engine::Txn {
       if (!agg.groups.empty()) return false;
     }
     return true;
-  }
-
-  Result<TxnDelta> RunBootstrap() {
-    Status status = ExecuteBootstrap();
-    if (!status.ok()) {
-      WipeToEmpty();
-      return status;
-    }
-    TxnDelta out = std::exchange(bootstrap_delta_, TxnDelta{});
-    for (int rel : dirty_rels_) {
-      e_.relations_[static_cast<size_t>(rel)].dirty = false;
-    }
-    dirty_rels_.clear();
-    ++e_.transactions_;
-    return out;
   }
 
   Status ExecuteBootstrap() {
@@ -1481,53 +1332,36 @@ class Engine::Txn {
     return Status::Ok();
   }
 
-  /// Bootstrap recursion: semi-naive insertion from empty SCC state.
-  /// Rules without an SCC positive literal seed it with one full
-  /// evaluation (they read only already-folded externals).  No DRed pass —
+  /// Bootstrap recursion: the insertion phase from empty SCC state.  Rules
+  /// without an SCC positive literal seed it with one full evaluation
+  /// (they read only already-folded externals).  No deletion phase —
   /// nothing can be deleted from empty.
   Status BootstrapRecursive(const Stratum& stratum) {
-    SccWorkMap work = NewSccWork(stratum);
-    NERPA_RETURN_IF_ERROR(InsertSemiNaive(
-        stratum, work, [&](auto& insert) -> Status {
-          for (int rule_index : stratum.rules) {
-            const CompiledRule& rule =
-                program_.rules()[static_cast<size_t>(rule_index)];
-            bool has_scc_positive = false;
-            for (const StepPlan& step : rule.steps) {
-              has_scc_positive |= step.kind == BodyElem::Kind::kLiteral &&
-                                  !step.negated &&
-                                  work.count(step.relation) != 0;
-            }
-            if (has_scc_positive) continue;  // fires only via the worklist
-            auto emit = [&]() -> Status {
+    return Propagate(stratum, +1, [&](auto& derive) -> Status {
+      for (int rule_index : stratum.rules) {
+        const CompiledRule& rule =
+            program_.rules()[static_cast<size_t>(rule_index)];
+        bool has_scc_positive = false;
+        for (const StepPlan& step : rule.steps) {
+          has_scc_positive |= step.kind == BodyElem::Kind::kLiteral &&
+                              !step.negated &&
+                              InStratum(stratum, step.relation);
+        }
+        if (has_scc_positive) continue;  // fires only via the worklist
+        NERPA_RETURN_IF_ERROR(
+            EvalFull(rule, /*stop_at_aggregate=*/false, [&]() -> Status {
               NERPA_ASSIGN_OR_RETURN(RowView head, HeadRow(rule));
-              insert(rule.head_relation, head);
+              derive(rule.head_relation, head);
               return Status::Ok();
-            };
-            NERPA_RETURN_IF_ERROR(
-                EvalFull(rule, /*stop_at_aggregate=*/false, emit));
-          }
-          return Status::Ok();
-        }));
-
-    for (int rel : stratum.relations) {
-      SccWork& w = work[rel];
-      if (w.inserted.empty()) continue;
-      // Reuse the stratum fold: semi-naive insertion already deduplicated,
-      // so every run has length 1 (count 1, set semantics in recursion).
-      std::vector<Row>& emitted = bootstrap_emit_;
-      emitted.clear();
-      emitted.reserve(w.inserted.size());
-      for (const Row& row : w.inserted) emitted.push_back(row);
-      FoldBootstrapStratum(rel, emitted);
-    }
-    return Status::Ok();
+            }));
+      }
+      return Status::Ok();
+    });
   }
 
   /// Bootstrap rollback: the pre-transaction state was empty, so undoing
   /// is wiping every touched structure rather than replaying a log.
   void WipeToEmpty() {
-    overlay_ = nullptr;
     for (int rel : dirty_rels_) {
       RelState& state = e_.relations_[static_cast<size_t>(rel)];
       state.dirty = false;
@@ -1582,7 +1416,6 @@ class Engine::Txn {
 
   Engine& e_;
   const Program& program_;
-  const Overlay* overlay_ = nullptr;
   std::vector<Value> frame_;
   std::vector<char> bound_;
 
@@ -2058,8 +1891,6 @@ Engine::Stats Engine::GetStats() const {
   stats.probes = probes_;
   stats.probe_hits = probe_hits_;
   stats.scans = scans_;
-  stats.key_rows_materialized = key_rows_materialized_;
-  stats.key_allocs_saved = key_allocs_saved_;
   stats.intern = GetInternPoolStats();
   // Approximate node overhead of one unordered_map/set entry (libstdc++:
   // next pointer + cached hash, plus allocator slack).

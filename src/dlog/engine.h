@@ -20,15 +20,19 @@
 //   * Stratified negation as incremental antijoin via per-arrangement
 //     presence flips.
 //   * Incremental group-by aggregation with persistent per-group state.
-//   * Recursion by semi-naive insertion plus DRed (delete-and-rederive)
-//     for deletions, with set semantics inside recursive strata.
+//   * Recursion by DRed (delete-and-rederive) on the live relation state:
+//     overdeletion reads OLD and folds out, then one semi-naive insertion
+//     reads NEW and folds in the re-derivable and new tuples, with set
+//     semantics inside recursive strata.
 //   * Keyed inputs (`key Rel(cols)`): an insert replaces the row holding
 //     its key in the same transaction, found through an arrangement on the
 //     key columns; the last insert of a key in one commit wins.
 //   * Bootstrap: a commit into a completely empty engine (cold start, and
-//     the fact rules at construction) runs one full evaluation per rule
-//     instead of the delta expansion, with no undo log and bulk-built
-//     arrangements.  Its results are byte-identical (differential-tested).
+//     the fact rules at construction) runs one full evaluation per
+//     non-recursive rule instead of the delta expansion, with no undo log
+//     and bulk-built arrangements; recursive strata run the insertion
+//     phase from empty.  Its results are byte-identical
+//     (differential-tested).
 #ifndef NERPA_DLOG_ENGINE_H_
 #define NERPA_DLOG_ENGINE_H_
 
@@ -308,9 +312,6 @@ class Engine {
     uint64_t probes = 0;            // arrangement lookups issued
     uint64_t probe_hits = 0;        // lookups that found a non-empty bucket
     uint64_t scans = 0;             // unindexed (full or filtered) scans
-    uint64_t key_rows_materialized = 0;  // key Rows built (index maintenance)
-    uint64_t key_allocs_saved = 0;  // probes served by a scratch-span key
-                                    // (each was one heap Row pre-interning)
     /// Process-wide intern pool (shared across engines).
     InternPoolStats intern;
   };
@@ -329,15 +330,18 @@ class Engine {
     // spec's records_flips says one reads them.
     ZSet flips;
     // Per-transaction deleted rows by key, for OLD-state lookups; kept only
-    // when the spec's records_deleted says one reads them.
+    // when the spec's records_deleted says one reads them.  A row that a
+    // recursive stratum re-derives stays listed, and OLD reads skip it
+    // while it is present.
     std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> deleted;
   };
 
   struct RelState {
     ZSet counts;                      // derivation counts, always > 0
     std::vector<Arrangement> arrangements;
-    // This txn's set-level delta (+1/-1).  A relation folds once per txn,
-    // so its -1 rows are the rows OLD-mode scans add back.
+    // This txn's net set-level delta (+1/-1): a row a recursive stratum
+    // deletes and re-derives nets out.  Its -1 rows are the rows OLD-mode
+    // scans add back.
     ZSet set_delta;
     bool dirty = false;               // touched this txn (bounds Cleanup)
   };
@@ -372,8 +376,6 @@ class Engine {
   uint64_t probes_ = 0;
   uint64_t probe_hits_ = 0;
   uint64_t scans_ = 0;
-  uint64_t key_rows_materialized_ = 0;
-  uint64_t key_allocs_saved_ = 0;
 };
 
 }  // namespace nerpa::dlog
