@@ -16,9 +16,12 @@
 //
 // Flags (bench::BenchArgs): --scale=F scales the node counts, --seed=N
 // seeds the graphs, --out=DIR receives BENCH_reachability.json with one
-// entry per N (nodes, edges, recompute, insert and delete seconds).
+// entry per N (nodes, edges, recompute, insert and delete seconds).  After
+// each size's trials the labels must equal those of a fresh engine loaded
+// with the surviving edges; the bench exits 1 when they differ.
 #include <algorithm>
 #include <random>
+#include <set>
 
 #include "bench/bench_util.h"
 #include "dlog/engine.h"
@@ -108,6 +111,8 @@ int Run(const BenchArgs& args) {
     // Incremental engine, pre-loaded.
     Engine engine(*program);
     if (!LoadGraph(engine, graph).ok()) return 1;
+    std::set<std::pair<int64_t, int64_t>> edges(graph.edges.begin(),
+                                                graph.edges.end());
 
     // Measure a batch of single-edge inserts and deletes (median of 20).
     std::vector<double> insert_times, delete_times;
@@ -130,6 +135,18 @@ int Run(const BenchArgs& args) {
         }
         delete_times.push_back(watch.ElapsedSeconds());
       }
+      edges.erase({a, b});  // gone even if the graph already held it
+    }
+    // The labels after the trials must be those of the surviving edges.
+    Engine reference(*program);
+    if (!LoadGraph(reference, {{edges.begin(), edges.end()}, graph.roots})
+             .ok()) {
+      return 1;
+    }
+    if (engine.Dump("Label").value() != reference.Dump("Label").value()) {
+      std::fprintf(stderr,
+                   "labels diverged from a fresh load at %d nodes\n", nodes);
+      return 1;
     }
     double insert_median = bench::Percentile(insert_times, 0.5);
     double delete_median = bench::Percentile(delete_times, 0.5);
