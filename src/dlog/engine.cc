@@ -917,8 +917,8 @@ class Engine::Txn {
       derived.emplace_back(rel, head);
     };
     NERPA_RETURN_IF_ERROR(seed(derive));
+    ZSet& delta = delta_scratch_;
     while (true) {
-      ZSet& delta = delta_scratch_;
       for (int rel : stratum.relations) {
         const ZSet& counts = e_.relations_[static_cast<size_t>(rel)].counts;
         for (auto& [head_rel, row] : derived) {
